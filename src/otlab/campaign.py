@@ -14,15 +14,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._numbers import DEFAULT_TOL, format_number
+from ._numbers import format_number
 from .errors import DomainError, FiberCollisionError, InvariantError, SolverStallError
-from .measure import DiscreteMeasure, convex_combine, measures_close
+from .measure import DiscreteMeasure, convex_combine
 from .metric import (
     Euclidean,
     EuclideanPoint,
     Finite,
     Interval,
-    IntervalPoint,
     Product,
     ProductPoint,
     distance,
@@ -35,6 +34,7 @@ from .sampling import (
     random_masses,
     random_measure,
     random_point,
+    random_separated_points,
 )
 from .solver import (
     check_cyclical_monotonicity,
@@ -134,25 +134,6 @@ def five_point_tree_space():
     return Finite(tuple(tuple(row) for row in d))
 
 
-def _distinct_fiber_points(rng, space, count, exact, window, min_gap=0.02):
-    """Product points with pairwise-distinct, well-separated t coordinates."""
-    points = []
-    ts = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 400 * count:
-            raise DomainError("could not sample separated fiber coordinates")
-        p = random_point(rng, space, exact=exact, window=window)
-        if any(abs(float(p.t) - s) < min_gap for s in ts):
-            continue
-        if p in points:
-            continue
-        ts.append(float(p.t))
-        points.append(p)
-    return points
-
-
 def alpha_form_pair(rng, alpha, q=2, exact=False, base=None):
     """A shared-remainder Dirac pair with a metrically trivial segment.
 
@@ -166,7 +147,7 @@ def alpha_form_pair(rng, alpha, q=2, exact=False, base=None):
         raise DomainError("the trivial-segment certificate needs q > 1")
     space = Product(alpha, q, base if base is not None else Euclidean(2))
     n_eta = int(rng.integers(1, 4))
-    pts = _distinct_fiber_points(rng, space, n_eta + 2, exact, DEFAULT_WINDOW, min_gap=0.05)
+    pts = random_separated_points(rng, space, n_eta + 2, exact)
     y, y_prime = pts[0], pts[1]
     eta_pts = pts[2:]
     eta_masses = random_masses(rng, n_eta, exact=exact)
@@ -250,7 +231,7 @@ def geodesic_instance(rng, space=None, exact=False):
     if space is None:
         space = _default_product(exact)
     n_eta = int(rng.integers(1, 4))
-    pts = _distinct_fiber_points(rng, space, n_eta + 2, exact, DEFAULT_WINDOW, min_gap=0.05)
+    pts = random_separated_points(rng, space, n_eta + 2, exact)
     y, y_prime = pts[0], pts[1]
     eta_masses = random_masses(rng, n_eta, exact=exact)
     eta = DiscreteMeasure(space, tuple(zip(pts[2:], eta_masses)))
@@ -511,55 +492,16 @@ def _run_trials(suite, space, window, seed, trials, tol, mode, index_offset=0, n
     return records
 
 
-def run_suite(suite, seed=0, trials=100, tol=1e-8, mode="float", space=None, window=None):
-    """Run one named verification suite and return its report."""
-    if suite not in _SUITES:
-        raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+def _campaign_report(name, space, seed, trials, tol, mode, run):
+    """Check the arguments every campaign shares, then time ``run()`` into a report."""
     if mode not in ("float", "rational"):
         raise DomainError(f"mode must be 'float' or 'rational', got {mode!r}")
     if trials < 1:
         raise DomainError("trial count must be at least 1")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
-    if space is None:
-        space = _default_product(mode == "rational")
-    if window is None:
-        window = DEFAULT_WINDOW
     start = time.perf_counter()
-    records = _run_trials(suite, space, window, seed, trials, tol, mode)
-    elapsed = time.perf_counter() - start
-    return CampaignReport(
-        suite=suite,
-        space_label=space.describe(),
-        mode=mode,
-        seed=seed,
-        tol=tol,
-        trials=tuple(records),
-        wall_time_s=elapsed,
-    )
-
-
-def run_scenario(name, seed=0, trials=50, tol=1e-8, mode="float"):
-    """Instantiate a packaged example space and run the flexibility suites."""
-    spaces = _scenario_spaces(mode == "rational")
-    if name not in spaces:
-        raise DomainError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
-    if mode not in ("float", "rational"):
-        raise DomainError(f"mode must be 'float' or 'rational', got {mode!r}")
-    if trials < 1:
-        raise DomainError("trial count must be at least 1")
-    if not tol > 0:
-        raise DomainError("tolerance must be positive")
-    space, window = spaces[name]
-    start = time.perf_counter()
-    records = []
-    for pos, suite in enumerate(_FLEXIBILITY_SUITES):
-        records.extend(
-            _run_trials(
-                suite, space, window, seed, trials, tol, mode,
-                index_offset=pos * trials, note_prefix=suite,
-            )
-        )
+    records = run()
     elapsed = time.perf_counter() - start
     return CampaignReport(
         suite=name,
@@ -570,6 +512,41 @@ def run_scenario(name, seed=0, trials=50, tol=1e-8, mode="float"):
         trials=tuple(records),
         wall_time_s=elapsed,
     )
+
+
+def run_suite(suite, seed=0, trials=100, tol=1e-8, mode="float", space=None, window=None):
+    """Run one named verification suite and return its report."""
+    if suite not in _SUITES:
+        raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    if space is None:
+        space = _default_product(mode == "rational")
+    if window is None:
+        window = DEFAULT_WINDOW
+    return _campaign_report(
+        suite, space, seed, trials, tol, mode,
+        lambda: _run_trials(suite, space, window, seed, trials, tol, mode),
+    )
+
+
+def run_scenario(name, seed=0, trials=50, tol=1e-8, mode="float"):
+    """Instantiate a packaged example space and run the flexibility suites."""
+    spaces = _scenario_spaces(mode == "rational")
+    if name not in spaces:
+        raise DomainError(f"unknown scenario {name!r}; choose from {', '.join(SCENARIO_NAMES)}")
+    space, window = spaces[name]
+
+    def run():
+        records = []
+        for pos, suite in enumerate(_FLEXIBILITY_SUITES):
+            records.extend(
+                _run_trials(
+                    suite, space, window, seed, trials, tol, mode,
+                    index_offset=pos * trials, note_prefix=suite,
+                )
+            )
+        return records
+
+    return _campaign_report(name, space, seed, trials, tol, mode, run)
 
 
 # ---------------------------------------------------------------------------

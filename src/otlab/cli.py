@@ -38,9 +38,9 @@ from .errors import (
     SpaceMismatchError,
 )
 from .metric import Euclidean, Interval, Product, format_number, parse_number
-from .measure import dump_measure, load_measure
-from .isometry import IntervalIsometry, apply_interval_isometry, fiber_flip
-from .solver import kr_dual, solve_wasserstein
+from .measure import _point_tokens, dump_measure, load_measure
+from .isometry import _ISOMETRY_NAMES, IntervalIsometry, apply_interval_isometry, fiber_flip
+from .solver import _kr_witness, solve_wasserstein
 from . import campaign
 
 EXIT_PASS = 0
@@ -48,14 +48,7 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-_TRANSFORMS = ("id", "reflect", "flip", "flip-reflect", "fiber-flip")
-
-_INTERVAL_TRANSFORMS = {
-    "id": IntervalIsometry.IDENTITY,
-    "reflect": IntervalIsometry.REFLECT,
-    "flip": IntervalIsometry.FLIP,
-    "flip-reflect": IntervalIsometry.FLIP_REFLECT,
-}
+_TRANSFORMS = (*_ISOMETRY_NAMES, "fiber-flip")
 
 
 @dataclass(frozen=True)
@@ -84,6 +77,8 @@ class RunConfig:
             raise DomainError(f"space must be 'interval' or 'product', got {self.space_kind!r}")
         if self.base_kind not in ("euclidean", "interval"):
             raise DomainError(f"base must be 'euclidean' or 'interval', got {self.base_kind!r}")
+        if self.space_kind == "product" and (self.alpha is None or self.q is None):
+            raise DomainError("a product space needs both alpha and q")
         if not self.tol > 0:
             raise DomainError("tol must be positive")
         if self.trials < 1:
@@ -208,8 +203,6 @@ def build_config(args):
 
     mode, _ = pick("mode")
     mode = mode or "float"
-    if mode not in ("float", "rational"):
-        raise DomainError(f"mode must be 'float' or 'rational', got {mode!r}")
     exact = mode == "rational"
 
     values = {"mode": mode}
@@ -253,10 +246,7 @@ def build_space(cfg):
     if cfg.space_kind == "interval":
         return Interval(1)
     base = Euclidean(cfg.dim) if cfg.base_kind == "euclidean" else Interval(1)
-    one = Fraction(1) if cfg.exact else 1.0
-    alpha = cfg.alpha if cfg.alpha is not None else one / 2
-    q = cfg.q if cfg.q is not None else 2
-    return Product(alpha, q, base)
+    return Product(cfg.alpha, cfg.q, base)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +255,6 @@ def build_space(cfg):
 
 def _point_label(tokens):
     return "(" + ", ".join(tokens) + ")" if len(tokens) > 1 else tokens[0]
-
-
-def _atom_tokens(point):
-    from .measure import _point_tokens
-
-    return _point_tokens(point)
 
 
 def cmd_dist(cfg, mu_path, nu_path, out=None):
@@ -295,17 +279,17 @@ def cmd_dist(cfg, mu_path, nu_path, out=None):
             w = plan.weights[j][k]
             if w == 0:
                 continue
-            src = _point_label(_atom_tokens(row_point))
-            dst = _point_label(_atom_tokens(col_point))
+            src = _point_label(_point_tokens(row_point))
+            dst = _point_label(_point_tokens(col_point))
             print(f"  {format_number(w)} : {src} -> {dst}", file=out)
     u, v = result.dual_potentials
     print("potentials:", file=out)
     for j, row_point in enumerate(plan.row_points):
-        print(f"  u {_point_label(_atom_tokens(row_point))} = {format_number(u[j])}", file=out)
+        print(f"  u {_point_label(_point_tokens(row_point))} = {format_number(u[j])}", file=out)
     for k, col_point in enumerate(plan.col_points):
-        print(f"  v {_point_label(_atom_tokens(col_point))} = {format_number(v[k])}", file=out)
+        print(f"  v {_point_label(_point_tokens(col_point))} = {format_number(v[k])}", file=out)
     if cfg.order == 1:
-        witness = kr_dual(mu, nu, independent=False, tol=cfg.tol)
+        witness = _kr_witness(mu, nu, result)
         print(f"dual_value = {format_number(witness.value)}", file=out)
     return EXIT_PASS
 
@@ -324,7 +308,7 @@ def cmd_transform(cfg, name, mu_path, out=None):
     else:
         if isinstance(space, Product):
             raise DomainError(f"{name} acts on interval measures; use fiber-flip on products")
-        image = apply_interval_isometry(_INTERVAL_TRANSFORMS[name], mu)
+        image = apply_interval_isometry(IntervalIsometry.from_name(name), mu)
     out.write(dump_measure(image, space_id))
     return EXIT_PASS
 

@@ -72,12 +72,6 @@ class IntervalIsometry(Enum):
     def has_reflect(self):
         return self.value[1]
 
-    def compose(self, then):
-        """Element equal to applying ``self`` first and ``then`` second."""
-        return IntervalIsometry(
-            (self.value[0] ^ then.value[0], self.value[1] ^ then.value[1])
-        )
-
     @classmethod
     def from_name(cls, name):
         try:

@@ -9,7 +9,6 @@ strictly positive, and float masses below 1e-15 are rejected outright
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -339,57 +338,39 @@ def measures_close(mu, nu, tol=DEFAULT_TOL):
 #               mass t <base...>  (product)
 
 
-def _parse_point(space, tokens, exact, path, lineno):
+def _parse_point(space, tokens, exact, path, lineno, column=2):
+    # ``column`` is where the point's first token sits on the line; a product
+    # base starts one token after the fiber coordinate t
     def num(tok, col):
         try:
             return parse_number(tok, exact=exact)
         except ValueError:
             raise ParseError(f"invalid number {tok!r}", path=path, line=lineno, column=col) from None
 
-    def index(tok, col):
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(
-                f"invalid point index {tok!r}", path=path, line=lineno, column=col
-            ) from None
-
     if isinstance(space, Interval):
         if len(tokens) != 1:
             raise ParseError("interval atom needs: mass t", path=path, line=lineno)
-        return IntervalPoint(num(tokens[0], 2))
+        return IntervalPoint(num(tokens[0], column))
     if isinstance(space, Euclidean):
         if len(tokens) != space.dim:
             raise ParseError(
                 f"euclidean atom needs {space.dim} coordinates", path=path, line=lineno
             )
-        return EuclideanPoint(tuple(num(t, i + 2) for i, t in enumerate(tokens)))
+        return EuclideanPoint(tuple(num(t, column + i) for i, t in enumerate(tokens)))
     if isinstance(space, Finite):
         if len(tokens) != 1:
             raise ParseError("finite atom needs: mass idx", path=path, line=lineno)
-        return FinitePoint(index(tokens[0], 2))
+        try:
+            return FinitePoint(int(tokens[0]))
+        except ValueError:
+            raise ParseError(
+                f"invalid point index {tokens[0]!r}", path=path, line=lineno, column=column
+            ) from None
     if isinstance(space, Product):
         if len(tokens) < 2:
             raise ParseError("product atom needs: mass t x...", path=path, line=lineno)
-        t = num(tokens[0], 2)
-        base_tokens = tokens[1:]
-        base = space.base
-        if isinstance(base, Interval):
-            if len(base_tokens) != 1:
-                raise ParseError("product-over-interval atom needs: mass t x", path=path, line=lineno)
-            x = IntervalPoint(num(base_tokens[0], 3))
-        elif isinstance(base, Euclidean):
-            if len(base_tokens) != base.dim:
-                raise ParseError(
-                    f"base point needs {base.dim} coordinates", path=path, line=lineno
-                )
-            x = EuclideanPoint(tuple(num(tk, i + 3) for i, tk in enumerate(base_tokens)))
-        elif isinstance(base, Finite):
-            if len(base_tokens) != 1:
-                raise ParseError("finite base point needs: mass t idx", path=path, line=lineno)
-            x = FinitePoint(index(base_tokens[0], 3))
-        else:
-            raise ParseError("unsupported base space", path=path, line=lineno)
+        t = num(tokens[0], column)
+        x = _parse_point(space.base, tokens[1:], exact, path, lineno, column + 1)
         return ProductPoint(t, x)
     raise ParseError("unsupported space kind", path=path, line=lineno)
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, InvariantError
 from ._numbers import DEFAULT_TOL
 from .measure import (
@@ -30,10 +28,6 @@ from .measure import (
     residual_decompose,
 )
 from .metric import (
-    Euclidean,
-    EuclideanPoint,
-    Finite,
-    FinitePoint,
     Interval,
     IntervalPoint,
     Product,
@@ -41,6 +35,7 @@ from .metric import (
     distance,
     segment_is_trivial,
 )
+from .sampling import make_rng, random_masses, random_point
 from .solver import restrict_and_renormalize, solve_wasserstein
 
 __all__ = [
@@ -419,16 +414,6 @@ def geodesic_speed_check(ext, sample_pairs, tol=DEFAULT_TOL):
 # seeded measure families
 
 
-def _sample_base_point(rng, base, window):
-    if isinstance(base, Euclidean):
-        return EuclideanPoint(tuple(float(c) for c in rng.uniform(-window, window, base.dim)))
-    if isinstance(base, Interval):
-        return IntervalPoint(float(rng.uniform(0, 1)))
-    if isinstance(base, Finite):
-        return FinitePoint(int(rng.integers(0, base.size)))
-    raise DomainError(f"unsupported base space {base!r}")
-
-
 def _distinct_unit_values(rng, count, min_gap):
     while True:
         vals = sorted(float(t) for t in rng.uniform(0, 1, count))
@@ -448,17 +433,16 @@ def induction_family_generator(space, n_atoms, seed, window=10.0):
         raise DomainError("n_atoms must be positive")
     if not isinstance(space, (Product, Interval)):
         raise DomainError("induction families live on product or interval spaces")
-    rng = np.random.default_rng(seed)
+    rng = make_rng(seed)
     min_gap = min(0.02, 1.0 / (4 * n_atoms))
     while True:
         ts = _distinct_unit_values(rng, n_atoms, min_gap)
         rng.shuffle(ts)
-        raw = rng.uniform(0.1, 1.0, n_atoms)
-        masses = [float(w) for w in raw / raw.sum()]
+        masses = random_masses(rng, n_atoms)
         atoms = []
         for t, m in zip(ts, masses):
             if isinstance(space, Product):
-                point = ProductPoint(t, _sample_base_point(rng, space.base, window))
+                point = ProductPoint(t, random_point(rng, space.base, window=window))
             else:
                 point = IntervalPoint(t)
             atoms.append((point, m))

@@ -33,6 +33,7 @@ __all__ = [
     "random_masses",
     "random_point",
     "random_measure",
+    "random_separated_points",
     "random_coupling",
     "random_finite_space",
 ]
@@ -103,6 +104,24 @@ def random_point(rng, space, exact=False, window=DEFAULT_WINDOW, denominator=32)
     raise DomainError(f"unsupported space {space!r}")
 
 
+def _draw_points(rng, space, count, clashes, limit, failure, exact, window, denominator=32):
+    """Draw from :func:`random_point` until ``count`` points are kept.
+
+    A draw is dropped when ``clashes(point, kept)``; needing more than
+    ``limit`` draws raises a DomainError with the ``failure`` message.
+    """
+    points = []
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > limit:
+            raise DomainError(failure)
+        p = random_point(rng, space, exact=exact, window=window, denominator=denominator)
+        if not clashes(p, points):
+            points.append(p)
+    return points
+
+
 def random_measure(
     rng,
     space,
@@ -123,25 +142,30 @@ def random_measure(
         raise DomainError("need at least one atom")
     if distinct_fibers and not isinstance(space, Product):
         raise DomainError("distinct fibers only make sense on a product space")
-    points = []
-    seen = set()
-    fibers = set()
-    attempts = 0
-    while len(points) < n_atoms:
-        attempts += 1
-        if attempts > 200 * n_atoms:
-            raise DomainError("could not sample enough distinct points")
-        p = random_point(rng, space, exact=exact, window=window, denominator=denominator)
-        if p in seen:
-            continue
-        if distinct_fibers and p.x in fibers:
-            continue
-        seen.add(p)
+
+    def clashes(p, kept):
         if distinct_fibers:
-            fibers.add(p.x)
-        points.append(p)
+            return any(p.x == k.x for k in kept)
+        return p in kept
+
+    points = _draw_points(
+        rng, space, n_atoms, clashes, 200 * n_atoms,
+        "could not sample enough distinct points", exact, window, denominator,
+    )
     masses = random_masses(rng, n_atoms, exact=exact, denominator=mass_denominator)
     return DiscreteMeasure(space, tuple(zip(points, masses)))
+
+
+def random_separated_points(rng, space, count, exact=False):
+    """``count`` product points whose t coordinates lie pairwise at least 0.05 apart."""
+
+    def clashes(p, kept):
+        return any(abs(float(p.t) - float(k.t)) < 0.05 for k in kept)
+
+    return _draw_points(
+        rng, space, count, clashes, 400 * count,
+        "could not sample separated fiber coordinates", exact, DEFAULT_WINDOW,
+    )
 
 
 def random_coupling(rng, mu, nu):

@@ -24,7 +24,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from ._numbers import DEFAULT_TOL, all_exact, format_number, mass_denominator_lcm, root
-from .measure import DiscreteMeasure
+from .measure import _point_tokens
 from .metric import powered_distance
 
 __all__ = [
@@ -395,6 +395,28 @@ def _union_support(mu, nu):
     return points
 
 
+def _kr_witness(mu, nu, result):
+    """1-Lipschitz witness f(z) = min_j (d(z, y_j) - u_j) from a solved p = 1 ``result``."""
+    space = mu.space
+    u = result.dual_potentials[0]
+    rows = mu.support
+    points = _union_support(mu, nu)
+    mu_masses = mu.as_dict()
+    nu_masses = nu.as_dict()
+    values = []
+    for z in points:
+        best = None
+        for j, y in enumerate(rows):
+            cand = space.distance(z, y) - u[j]
+            if best is None or cand < best:
+                best = cand
+        values.append(best)
+    value = 0
+    for z, f in zip(points, values):
+        value = value + f * (nu_masses.get(z, 0) - mu_masses.get(z, 0))
+    return DualPotential(value, tuple(zip(points, values)), "simplex-potentials")
+
+
 def kr_dual(mu, nu, independent=False, tol=DEFAULT_TOL):
     """Dual witness for the 1-Wasserstein distance.
 
@@ -406,27 +428,12 @@ def kr_dual(mu, nu, independent=False, tol=DEFAULT_TOL):
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
+    if not independent:
+        return _kr_witness(mu, nu, solve_wasserstein(mu, nu, p=1, tol=tol))
     space = mu.space
     points = _union_support(mu, nu)
     mu_masses = mu.as_dict()
     nu_masses = nu.as_dict()
-
-    if not independent:
-        res = solve_wasserstein(mu, nu, p=1, tol=tol)
-        u = res.dual_potentials[0]
-        rows = mu.support
-        values = []
-        for z in points:
-            best = None
-            for j, y in enumerate(rows):
-                cand = space.distance(z, y) - u[j]
-                if best is None or cand < best:
-                    best = cand
-            values.append(best)
-        value = 0
-        for z, f in zip(points, values):
-            value = value + f * (nu_masses.get(z, 0) - mu_masses.get(z, 0))
-        return DualPotential(value, tuple(zip(points, values)), "simplex-potentials")
 
     import numpy as np
     from scipy.optimize import linprog
@@ -580,8 +587,8 @@ def result_record(result):
         "p": _num_json(result.p),
         "cost": _num_json(result.cost),
         "powered_cost": _num_json(result.powered_cost),
-        "row_support": [" ".join(_tokens(pt)) for pt in pi.row_points],
-        "col_support": [" ".join(_tokens(pt)) for pt in pi.col_points],
+        "row_support": [" ".join(_point_tokens(pt)) for pt in pi.row_points],
+        "col_support": [" ".join(_point_tokens(pt)) for pt in pi.col_points],
         "coupling": [[j, k, _num_json(w)] for j, k, w in pi.cells()],
         "dual_u": [_num_json(x) for x in result.dual_potentials[0]],
         "dual_v": [_num_json(x) for x in result.dual_potentials[1]],
@@ -592,9 +599,3 @@ def result_record(result):
 
 def result_to_json(result, indent=2):
     return json.dumps(result_record(result), indent=indent)
-
-
-def _tokens(point):
-    from .measure import _point_tokens
-
-    return _point_tokens(point)

@@ -2,6 +2,8 @@
 
 import pytest
 
+import otlab.cli
+import otlab.solver
 from otlab.cli import (
     EXIT_INVARIANT,
     EXIT_NUMERICAL,
@@ -68,6 +70,31 @@ class TestDist:
         )
         assert code == EXIT_PASS
         assert "distance = 3/5" in out.splitlines()
+
+    def test_order_one_dual_value_reuses_the_solve(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        solve = otlab.solver.solve_wasserstein
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(otlab.cli, "solve_wasserstein", counted)
+        monkeypatch.setattr(otlab.solver, "solve_wasserstein", counted)
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("space product\n1/2 1/5 1/2\n1/4 3/5 1/10\n1/4 1 0\n")
+        b.write_text("space product\n1/3 4/5 1/2\n2/3 0 9/10\n")
+        code, out = run(
+            capsys,
+            "dist", str(a), str(b),
+            "--space", "product", "--base", "interval",
+            "--alpha", "1", "--q", "1", "--mode", "rational", "--order", "1",
+        )
+        assert code == EXIT_PASS
+        values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert values["dual_value"] == values["distance"]
+        assert len(calls) == 1
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         ghost = str(tmp_path / "ghost.txt")

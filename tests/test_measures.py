@@ -11,6 +11,7 @@ from otlab import (
     IntervalPoint,
     InvalidMeasureError,
     ParseError,
+    Product,
     ProductPoint,
     convex_combine,
     disintegrate,
@@ -149,12 +150,22 @@ def test_measure_file_round_trip(tmp_path, city_block_square):
     assert loaded.atoms == mu.atoms
 
 
-def test_measure_file_reports_position(measure_file, unit_interval):
+def test_measure_file_reports_position(measure_file, unit_interval, snowflake_plane, small_tree):
     path = measure_file(["0.5 0", "0.5 nan?"])
     with pytest.raises(ParseError) as err:
         load_measure(path, unit_interval)
     assert err.value.line == 3
     assert err.value.column is not None
+    # product lines read: mass t base-coordinates...
+    tree_product = Product(1, 1, small_tree)
+    for space, line, column in (
+        (snowflake_plane, "1 0.5 1 y?", 4),
+        (tree_product, "1 0.5 i?", 3),
+        (tree_product, "1 t? 2", 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            load_measure(measure_file([line]), space)
+        assert (err.value.line, err.value.column) == (2, column)
 
 
 def test_measure_file_requires_header(tmp_path, unit_interval):
