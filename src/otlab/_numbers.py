@@ -19,7 +19,7 @@ __all__ = [
     "format_number",
     "powered_abs",
     "root",
-    "mass_denominator_lcm",
+    "denominator_lcm",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -114,7 +114,7 @@ def root(value, q):
     return v ** (1.0 / float(q))
 
 
-def mass_denominator_lcm(values) -> int:
+def denominator_lcm(values) -> int:
     """lcm of the denominators of exact values (1 if the list is empty)."""
     L = 1
     for v in values:

@@ -181,7 +181,7 @@ def random_coupling(rng, mu, nu):
     col_order = [int(k) for k in rng.permutation(n)]
     a = [mu.masses[i] for i in row_order]
     b = [nu.masses[k] for k in col_order]
-    flows, _basis = _northwest_corner(a, b, m, n)
+    flows = _northwest_corner(a, b, m, n)
     zero = 0 * (mu.masses[0] + nu.masses[0])
     weights = [[zero] * n for _ in range(m)]
     for (i, k), f in flows.items():

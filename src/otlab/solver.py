@@ -1,12 +1,16 @@
 """Discrete optimal transport via the transportation simplex.
 
 Costs are handled as powered distances d**p throughout; the 1/p root is
-applied only when reporting ``cost``. The simplex keeps a spanning-tree
-basis, starts from the northwest-corner plan, and pivots under Bland's
-smallest-index rule with a hard pivot budget (never a silent approximation).
-Exact inputs (int/Fraction masses and costs) are recognized automatically
-and pivoted without rounding: the plan is carried in integer units on a
-common mass denominator.
+applied only when reporting ``cost``. The simplex starts from the
+northwest-corner plan and pivots under Bland's smallest-index rule with a
+hard pivot budget (never a silent approximation). The spanning-tree basis
+is kept as parent, depth and adjacency arrays over the m + n row and column
+nodes, rooted at row 0: a pivot finds its cycle by walking up from both ends
+of the entering cell, and recomputes potentials only on the subtree it
+re-hangs. Exact inputs (int/Fraction masses and costs) are recognized
+automatically; masses are scaled by the lcm of their denominators and costs
+by the lcm of theirs, so the pivots and the certificate run on Python ints
+and the results become Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     SolverStallError,
     SpaceMismatchError,
 )
-from ._numbers import DEFAULT_TOL, all_exact, format_number, mass_denominator_lcm, root
+from ._numbers import DEFAULT_TOL, all_exact, format_number, denominator_lcm, root
 from .measure import _point_tokens
 from .metric import powered_distance
 
@@ -133,16 +137,14 @@ def coupling_cost(pi, p=1):
 
 
 def _northwest_corner(a, b, m, n):
-    """Initial spanning-tree basis; returns (flows dict, basis cell list)."""
+    """Northwest-corner plan: a flows dict over its m + n - 1 staircase cells, in order."""
     rem_a = list(a)
     rem_b = list(b)
     flows = {}
-    basis = []
     i = j = 0
     while True:
         take = rem_a[i] if rem_a[i] <= rem_b[j] else rem_b[j]
         flows[(i, j)] = take
-        basis.append((i, j))
         rem_a[i] = rem_a[i] - take
         rem_b[j] = rem_b[j] - take
         if i == m - 1 and j == n - 1:
@@ -155,111 +157,137 @@ def _northwest_corner(a, b, m, n):
             i += 1
         else:
             j += 1
-    return flows, basis
+    return flows
 
 
-def _tree_potentials(basis, cost, m, n):
-    """Solve u_i + v_j = cost[i][j] on the basis tree, with u_0 = 0."""
-    adj = [[] for _ in range(m + n)]
-    for (i, j) in basis:
-        adj[i].append((m + j, (i, j)))
-        adj[m + j].append((i, (i, j)))
-    u = [None] * m
-    v = [None] * n
-    u[0] = 0
-    stack = [0]
+def _flow_cost(flows, cost):
+    total = 0
+    for (i, j), f in flows.items():
+        total = total + f * cost[i][j]
+    return total
+
+
+def _hang(top, adj, parent, depth, u, v, cost, m):
+    """Set parent, depth and potential of every tree node below ``top``.
+
+    Tree nodes are rows 0..m-1 and columns m..m+n-1; ``top`` already carries
+    its own. Each node below gets ``cost - potential of its parent``, the same
+    operations along the same unique path from row 0 whatever order the tree
+    was built in, so float potentials are bit-identical to a full re-solve.
+    """
+    stack = [top]
     while stack:
         node = stack.pop()
-        for nb, (ci, cj) in adj[node]:
+        up = parent[node]
+        below = depth[node] + 1
+        for nb in adj[node]:
+            if nb == up:
+                continue
+            parent[nb] = node
+            depth[nb] = below
             if nb < m:
-                if u[nb] is None:
-                    u[nb] = cost[ci][cj] - v[cj]
-                    stack.append(nb)
+                u[nb] = cost[nb][node - m] - v[node - m]
             else:
-                if v[nb - m] is None:
-                    v[nb - m] = cost[ci][cj] - u[ci]
-                    stack.append(nb)
-    return u, v, adj
+                v[nb - m] = cost[node][nb - m] - u[node]
+            stack.append(nb)
 
 
-def _tree_path(adj, start, goal, node_count):
-    parent = [None] * node_count
-    parent[start] = start
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for nb, _cell in adj[node]:
-            if parent[nb] is None:
-                parent[nb] = node
-                stack.append(nb)
-    path = [goal]
-    while path[-1] != start:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+def _transport_simplex(a, b, cost, m, n, scale, budget):
+    """Core simplex. Returns (flows dict over the basis, pivot count, u, v, tree adjacency).
 
-
-def _transport_simplex(a, b, cost, m, n, exact, budget):
-    """Core simplex. Returns (flows dict over basis, pivot count)."""
-    flows, basis = _northwest_corner(a, b, m, n)
-    basis_set = set(basis)
-    threshold = 0 if exact else -_ENTERING_EPS
+    ``scale`` is None for float inputs. For integer units it is the number of
+    flow-times-cost units in one unit of real cost, used to report a stall.
+    """
+    flows = _northwest_corner(a, b, m, n)
+    basic = [[False] * n for _ in range(m)]
+    adj = [[] for _ in range(m + n)]
+    for i, j in flows:
+        basic[i][j] = True
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    u = [0] * m
+    v = [0] * n
+    _hang(0, adj, parent, depth, u, v, cost, m)
+    threshold = -_ENTERING_EPS if scale is None else 0
     pivots = 0
     while True:
-        u, v, adj = _tree_potentials(basis, cost, m, n)
         entering = None
         for i in range(m):
             ui = u[i]
             row = cost[i]
             for j in range(n):
-                if (i, j) in basis_set:
-                    continue
-                if row[j] - ui - v[j] < threshold:
+                if row[j] - ui - v[j] < threshold and not basic[i][j]:
                     entering = (i, j)
                     break
             if entering is not None:
                 break
         if entering is None:
-            return flows, basis, pivots, (u, v)
+            return flows, pivots, u, v, adj
         if pivots >= budget:
-            current = 0
-            for (ci, cj), f in flows.items():
-                current = current + f * cost[ci][cj]
+            current = _flow_cost(flows, cost)
             raise SolverStallError(
                 f"pivot budget {budget} exhausted before optimality",
                 pivots=pivots,
-                current_cost=current,
+                current_cost=current if scale is None else Fraction(current, scale),
             )
         ei, ej = entering
-        path = _tree_path(adj, ei, m + ej, m + n)
-        path_cells = []
-        for na, nb in zip(path, path[1:]):
-            if na < m:
-                path_cells.append((na, nb - m))
+        # Walk up from both ends of the entering cell to where they meet. Round
+        # the cycle, cells lose and gain theta in turn, and the cell next to the
+        # entering one loses on either side, so the losing links are a row's
+        # link to its parent on the row side and a column's on the column side.
+        # ``minus`` keeps each losing cell with the child node of its link.
+        minus = []
+        plus = [entering]
+        x, y = ei, m + ej
+        while x != y:
+            if depth[x] >= depth[y]:
+                up = parent[x]
+                if x < m:
+                    minus.append(((x, up - m), x))
+                else:
+                    plus.append((up, x - m))
+                x = up
             else:
-                path_cells.append((nb, na - m))
-        ordered = path_cells[::-1]  # walk the cycle from the entering cell's column side
-        minus = ordered[0::2]
-        plus = [entering] + ordered[1::2]
+                up = parent[y]
+                if y < m:
+                    plus.append((y, up - m))
+                else:
+                    minus.append(((up, y - m), y))
+                y = up
         theta = None
         leaving = None
-        for cell in minus:
+        for cell, child in minus:
             f = flows[cell]
             if theta is None or f < theta or (f == theta and cell < leaving):
                 theta = f
                 leaving = cell
+                cut = child
         flows[entering] = 0 * theta
         for cell in plus:
             flows[cell] = flows[cell] + theta
-        for cell in minus:
+        for cell, _child in minus:
             flows[cell] = flows[cell] - theta
         del flows[leaving]
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis = [c for c in basis if c != leaving]
-        basis.append(entering)
+        basic[leaving[0]][leaving[1]] = False
+        basic[ei][ej] = True
+        up = parent[cut]
+        adj[cut].remove(up)
+        adj[up].remove(cut)
+        adj[ei].append(m + ej)
+        adj[m + ej].append(ei)
+        # the end of the entering cell on the cut's side lost its way to row 0;
+        # it re-hangs below the other end
+        if cut < m:
+            top, hook = ei, m + ej
+            u[ei] = cost[ei][ej] - v[ej]
+        else:
+            top, hook = m + ej, ei
+            v[ej] = cost[ei][ej] - u[ei]
+        parent[top] = hook
+        depth[top] = depth[hook] + 1
+        _hang(top, adj, parent, depth, u, v, cost, m)
         pivots += 1
 
 
@@ -323,37 +351,47 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
-    cost = [[powered_distance(space, y, z, p) for z in cols] for y in rows]
+    # the measures validated their points and p is checked above
+    cost = [[space.powered_distance(y, z, p) for z in cols] for y in rows]
     a = list(mu.masses)
     b = list(nu.masses)
     exact = all_exact(a) and all_exact(b) and all_exact(c for r in cost for c in r)
     budget = 10 * m * n if pivot_budget is None else pivot_budget
 
     if exact:
-        # pivot over integer units on a common denominator; exactness is free,
-        # this only buys speed
-        L = mass_denominator_lcm(a + b)
+        # pivot and certify on integers: masses times L and costs times Lc,
+        # so flow-times-cost sums are in units of 1 / (L * Lc)
+        L = denominator_lcm(a + b)
+        Lc = denominator_lcm(c for r in cost for c in r)
         a_units = [int(x * L) for x in a]
         b_units = [int(x * L) for x in b]
-        flows_units, basis, pivots, (u, v) = _transport_simplex(
-            a_units, b_units, cost, m, n, True, budget
+        cost_units = [[int(c * Lc) for c in r] for r in cost]
+        flows_units, pivots, u_units, v_units, adj = _transport_simplex(
+            a_units, b_units, cost_units, m, n, L * Lc, budget
         )
+        certified = _certify(
+            a_units, b_units, cost_units, flows_units, u_units, v_units, m, n, True, tol
+        )
+        powered = Fraction(_flow_cost(flows_units, cost_units), L * Lc)
         flows = {
             cell: Fraction(f, L) if f % L else Fraction(f // L)
             for cell, f in flows_units.items()
         }
+        # the reported potentials come from the given costs along the final
+        # tree, so each is an int or a Fraction just as that path makes it
+        u = [0] * m
+        v = [0] * n
+        _hang(0, adj, [-1] * (m + n), [0] * (m + n), u, v, cost, m)
     else:
-        flows, basis, pivots, (u, v) = _transport_simplex(a, b, cost, m, n, False, budget)
+        flows, pivots, u, v, _adj = _transport_simplex(a, b, cost, m, n, None, budget)
+        certified = _certify(a, b, cost, flows, u, v, m, n, False, tol)
+        powered = _flow_cost(flows, cost)
 
     weights = [[0] * n for _ in range(m)]
     for (i, j), f in flows.items():
         if f != 0:
             weights[i][j] = f
-    powered = 0
-    for (i, j), f in flows.items():
-        powered = powered + f * cost[i][j]
     plan = Coupling(space, rows, cols, tuple(tuple(r) for r in weights))
-    certified = _certify(a, b, cost, flows, u, v, m, n, exact, tol)
     return TransportResult(
         p=p,
         powered_cost=powered,

@@ -1,0 +1,40 @@
+"""Every module-level import in the package modules is used."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "otlab"
+# __init__.py imports only to re-export
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by top-level imports that the module never reads or lists in __all__."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+def test_scan_flags_an_unused_import():
+    source = "from __future__ import annotations\nimport json\nimport os.path\nfrom math import gcd, lcm\nlcm(os.sep)\n"
+    assert unused_imports(source) == ["gcd (line 4)", "json (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

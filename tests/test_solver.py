@@ -208,3 +208,40 @@ def test_result_record_round_trips_through_json(unit_interval):
     # triplets are (row index, col index, mass)
     assert record["coupling"] == [[0, 0, "1/2"], [1, 0, "1/2"]]
     assert len(record["dual_u"]) == 2 and len(record["dual_v"]) == 1
+
+
+def test_stall_reports_the_starting_plan_cost_in_real_units():
+    line = Finite(((0, 10, 11, 1), (10, 0, 1, 9), (11, 1, 0, 10), (1, 9, 10, 0)))
+    for half in (Fraction(1, 2), 0.5):
+        mu = DiscreteMeasure(line, ((FinitePoint(0), half), (FinitePoint(1), half)))
+        nu = DiscreteMeasure(line, ((FinitePoint(2), half), (FinitePoint(3), half)))
+        northwest = Coupling(line, mu.support, nu.support, ((half, 0), (0, half)))
+        with pytest.raises(SolverStallError) as info:
+            solve_wasserstein(mu, nu, p=1, pivot_budget=0)
+        assert info.value.pivots == 0
+        assert info.value.current_cost == coupling_cost(northwest, 1) == 10
+
+
+# the bench/scaling.py pairs; the counts pin the pivot rule, not just the optimum
+@pytest.mark.parametrize(
+    "n, exact, pivots, powered",
+    [
+        (10, False, 44, None),
+        (20, False, 470, None),
+        (10, True, 55, Fraction(2753205, 65536)),
+        (20, True, 355, Fraction(721681, 32768)),
+    ],
+)
+def test_pivot_sequence_is_pinned(n, exact, pivots, powered):
+    space = Product(Fraction(1, 2) if exact else 0.5, 2, Euclidean(2))
+    rng = make_rng((1, n))
+    mu = random_measure(rng, space, n, exact=exact)
+    nu = random_measure(rng, space, n, exact=exact)
+    result = solve_wasserstein(mu, nu, p=2)
+    assert result.pivots == pivots
+    assert result.certified
+    if exact:
+        assert result.powered_cost == powered
+    with pytest.raises(SolverStallError) as info:
+        solve_wasserstein(mu, nu, p=2, pivot_budget=pivots - 1)
+    assert info.value.pivots == pivots - 1
