@@ -2,21 +2,32 @@
 
 Costs are handled as powered distances d**p throughout; the 1/p root is
 applied only when reporting ``cost``. The simplex starts from the
-northwest-corner plan and pivots under Bland's smallest-index rule with a
-hard pivot budget (never a silent approximation). The spanning-tree basis
-is kept as parent, depth and adjacency arrays over the m + n row and column
-nodes, rooted at row 0: a pivot finds its cycle by walking up from both ends
-of the entering cell, and recomputes potentials only on the subtree it
-re-hangs. Exact inputs (int/Fraction masses and costs) are recognized
-automatically; masses are scaled by the lcm of their denominators and costs
-by the lcm of theirs, so the pivots and the certificate run on Python ints
-and the results become Fractions once, at the end.
+northwest-corner plan, with a hard pivot budget (never a silent
+approximation). The entering cell comes from block-search pricing (Bonneel,
+van de Panne, Paris & Heidrich 2011): the scan resumes where the last one
+stopped, wraps round the m*n cells, and takes the most negative reduced cost
+in the first block of max(isqrt(m*n), 10) cells that has one. Cunningham's
+(1976) leaving rule keeps the tree strongly feasible, which rules out
+cycling on degenerate pivots. The spanning-tree basis is kept as parent,
+depth and adjacency arrays over the m + n row and column nodes, rooted at
+row 0: a pivot finds its cycle by walking up from both ends of the entering
+cell, and recomputes potentials only on the subtree it re-hangs. Exact
+inputs (int/Fraction masses and costs) are recognized automatically; masses
+are scaled by the lcm of their denominators and costs by the lcm of theirs,
+so the pivots and the certificate run on Python ints and the results become
+Fractions once, at the end.
+
+The optimal cost is unique, so exact ``powered_cost``, ``cost`` and
+``certified`` do not depend on the pivot rule. The pivot count does, and so
+do the plan and the potentials when several are optimal, and float values
+in their last digits.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +93,21 @@ class Coupling:
         elif abs(total - 1.0) > DEFAULT_TOL:
             raise CouplingError(f"coupling mass {total!r} differs from 1 beyond {DEFAULT_TOL}")
 
+    @classmethod
+    def _solved(cls, space, row_points, col_points, weights):
+        """The plan of a simplex solve, built without the checks above.
+
+        The simplex keeps its flows nonnegative and on the measures' marginals,
+        and hands over tuples, so the checks would only re-sum the plan.
+        """
+        plan = object.__new__(cls)
+        for name, value in zip(
+            ("space", "row_points", "col_points", "weights"),
+            (space, row_points, col_points, weights),
+        ):
+            object.__setattr__(plan, name, value)
+        return plan
+
     def row_sums(self):
         return tuple(sum(row[1:], row[0]) for row in self.weights)
 
@@ -137,7 +163,13 @@ def coupling_cost(pi, p=1):
 
 
 def _northwest_corner(a, b, m, n):
-    """Northwest-corner plan: a flows dict over its m + n - 1 staircase cells, in order."""
+    """Northwest-corner plan: a flows dict over its m + n - 1 staircase cells, in order.
+
+    When a row and a column run out together, the row advances first, so the
+    zero-flow cell that follows joins a new row below the spent column. Rooted
+    at row 0, every cell whose column end is the child then carries positive
+    flow: the start is a strongly feasible tree.
+    """
     rem_a = list(a)
     rem_b = list(b)
     flows = {}
@@ -211,18 +243,37 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
     v = [0] * n
     _hang(0, adj, parent, depth, u, v, cost, m)
     threshold = -_ENTERING_EPS if scale is None else 0
+    cells = m * n
+    block = max(math.isqrt(cells), 10)
+    i = j = 0  # where the next pricing scan starts, row-major over the cells
     pivots = 0
     while True:
+        # Block search: scan from (i, j), wrapping round the cells, and take
+        # the most negative reduced cost of the first block that has one.
         entering = None
-        for i in range(m):
+        best = threshold
+        left = block
+        scanned = 0
+        while scanned < cells:
+            stop = min(n, j + left, j + cells - scanned)
             ui = u[i]
             row = cost[i]
-            for j in range(n):
-                if row[j] - ui - v[j] < threshold and not basic[i][j]:
-                    entering = (i, j)
+            row_basic = basic[i]
+            for k in range(j, stop):
+                d = row[k] - ui - v[k]
+                if d < best and not row_basic[k]:
+                    best = d
+                    entering = (i, k)
+            scanned += stop - j
+            left -= stop - j
+            j = stop
+            if j == n:
+                j = 0
+                i = i + 1 if i < m - 1 else 0
+            if left == 0:
+                if entering is not None:
                     break
-            if entering is not None:
-                break
+                left = block
         if entering is None:
             return flows, pivots, u, v, adj
         if pivots >= budget:
@@ -233,19 +284,21 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
                 current_cost=current if scale is None else Fraction(current, scale),
             )
         ei, ej = entering
-        # Walk up from both ends of the entering cell to where they meet. Round
-        # the cycle, cells lose and gain theta in turn, and the cell next to the
-        # entering one loses on either side, so the losing links are a row's
-        # link to its parent on the row side and a column's on the column side.
-        # ``minus`` keeps each losing cell with the child node of its link.
-        minus = []
+        # Walk up from both ends of the entering cell to the apex where they
+        # meet. Round the cycle, cells lose and gain theta in turn, and the
+        # cell next to the entering one loses on either side, so the losing
+        # links are a row's link to its parent on the row (x) side and a
+        # column's on the column (y) side. Each losing cell is kept with the
+        # child node of its link, in walk-up order.
+        minus_x = []
+        minus_y = []
         plus = [entering]
         x, y = ei, m + ej
         while x != y:
             if depth[x] >= depth[y]:
                 up = parent[x]
                 if x < m:
-                    minus.append(((x, up - m), x))
+                    minus_x.append(((x, up - m), x))
                 else:
                     plus.append((up, x - m))
                 x = up
@@ -254,20 +307,25 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
                 if y < m:
                     plus.append((y, up - m))
                 else:
-                    minus.append(((up, y - m), y))
+                    minus_y.append(((up, y - m), y))
                 y = up
+        # Cunningham's leaving rule: walking the cycle from the apex in the
+        # entering cell's direction (down the x side, across the entering
+        # cell, up the y side), the last cell to reach zero leaves. That is
+        # the first one in this order: y side from the apex down, then x side
+        # from the entering cell up. It keeps the tree strongly feasible:
+        # every basic cell whose column end is the child carries positive flow.
         theta = None
-        leaving = None
-        for cell, child in minus:
+        for cell, child in minus_y[::-1] + minus_x:
             f = flows[cell]
-            if theta is None or f < theta or (f == theta and cell < leaving):
+            if theta is None or f < theta:
                 theta = f
                 leaving = cell
                 cut = child
         flows[entering] = 0 * theta
         for cell in plus:
             flows[cell] = flows[cell] + theta
-        for cell, _child in minus:
+        for cell, _child in minus_x + minus_y:
             flows[cell] = flows[cell] - theta
         del flows[leaving]
         basic[leaving[0]][leaving[1]] = False
@@ -337,11 +395,13 @@ def _certify(a, b, cost, flows, u, v, m, n, exact, tol):
 def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
-    Runs the transportation simplex from the northwest-corner plan under
-    Bland's rule. The pivot budget defaults to 10 * m * n; exhausting it
-    raises :class:`SolverStallError` rather than returning an approximation.
-    Exact mass/cost inputs produce exact Fractions and an exactly certified
-    optimum.
+    Runs the transportation simplex from the northwest-corner plan, with
+    block-search pricing on strongly feasible trees. The pivot budget
+    defaults to 10 * m * n; exhausting it raises :class:`SolverStallError`
+    rather than returning an approximation. Exact mass/cost inputs produce
+    exact Fractions and an exactly certified optimum. Where several plans are
+    optimal, which one comes back (and its potentials) is up to the pivot
+    rule; the cost is not.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
@@ -391,7 +451,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     for (i, j), f in flows.items():
         if f != 0:
             weights[i][j] = f
-    plan = Coupling(space, rows, cols, tuple(tuple(r) for r in weights))
+    plan = Coupling._solved(space, rows, cols, tuple(tuple(r) for r in weights))
     return TransportResult(
         p=p,
         powered_cost=powered,

@@ -5,8 +5,6 @@ deliberately different route, so the tests compare two derivations that
 share no code path.
 """
 
-from fractions import Fraction
-
 import numpy as np
 from scipy.optimize import linprog
 

@@ -1,6 +1,5 @@
 """Verification campaign runner: suites, scenarios, reports."""
 
-import numpy as np
 import pytest
 
 from otlab import DomainError, Interval, Product

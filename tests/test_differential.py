@@ -1,11 +1,23 @@
-"""Exact solves with mixed cost denominators against exhaustive enumeration."""
+"""Exact solves with mixed cost denominators against exhaustive enumeration.
+
+The solver builds its plans without the mass checks of ``Coupling``, so every
+plan here is also checked against the measures' marginals.
+"""
 
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otlab import DiscreteMeasure, Interval, IntervalPoint, Product, ProductPoint, solve_wasserstein
+from otlab import (
+    DiscreteMeasure,
+    Interval,
+    IntervalPoint,
+    Product,
+    ProductPoint,
+    solve_wasserstein,
+    validate_coupling,
+)
 
 from oracles import exhaustive_min_cost
 
@@ -35,6 +47,7 @@ def assert_matches_enumeration(mu, nu, p):
     demand = tuple(int(m * EIGHTHS) for m in nu.masses)
     assert result.powered_cost == Fraction(exhaustive_min_cost(supply, demand, costs), EIGHTHS)
     assert result.certified
+    validate_coupling(result.coupling, mu, nu)
 
 
 INTERVAL = Interval(1)

@@ -1,13 +1,16 @@
-"""Every module-level import in the package modules is used."""
+"""Every module-level import in the package modules and the test modules is used."""
 
 import ast
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "otlab"
-# __init__.py imports only to re-export
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "otlab"
+# __init__.py imports only to re-export; no test file shares a package module's name
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    TESTS.glob("*.py")
+)
 
 
 def unused_imports(source):

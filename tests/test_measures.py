@@ -7,7 +7,6 @@ import pytest
 from otlab import (
     DiscreteMeasure,
     DomainError,
-    EuclideanPoint,
     IntervalPoint,
     InvalidMeasureError,
     ParseError,

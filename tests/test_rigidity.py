@@ -19,12 +19,10 @@ from otlab import (
     convex_combine,
     detect_dirac_pair_form,
     dirac_pair_mixture_candidates,
-    distance,
     extend_geodesic,
     geodesic_speed_check,
     ratio_set_membership,
     ratio_set_scan,
-    solve_wasserstein,
     split_transport,
 )
 from otlab.campaign import (
