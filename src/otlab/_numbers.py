@@ -116,8 +116,4 @@ def root(value, q):
 
 def denominator_lcm(values) -> int:
     """lcm of the denominators of exact values (1 if the list is empty)."""
-    L = 1
-    for v in values:
-        d = v.denominator if isinstance(v, Fraction) else 1
-        L = L * d // math.gcd(L, d)
-    return L
+    return math.lcm(*{v.denominator for v in values})

@@ -12,6 +12,10 @@ Four space kinds, all immutable:
 Distances stay exact (int/Fraction in, Fraction out) whenever the exponent
 arithmetic allows; q-th roots are deferred to ``distance`` so powered values
 can be compared without ever taking roots in exact mode.
+
+Every space kind also builds the whole m x n matrix of powered distances
+between two point lists with ``cost_matrix``; on float coordinates it
+broadcasts in numpy, cell for cell bit-identical to ``powered_distance``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
+
+import numpy as np
 
 from .errors import DomainError, InvalidSpaceError, ParseError, SpaceMismatchError
 from ._numbers import DEFAULT_TOL, format_number, is_exact, parse_number, powered_abs, root
@@ -96,7 +103,88 @@ def point_sort_key(point):
 
 
 # ---------------------------------------------------------------------------
+# float cost matrices
+#
+# Each helper repeats, on float64 arrays, the operations of the scalar code it
+# names, in the same order, so every cell comes out bit for bit the same.
+# Differences, abs, products, sums and square roots are IEEE operations with
+# one correctly rounded result in numpy and in Python alike. ``np.power`` is
+# not: it differs from Python's float ``**`` (libm ``pow``) in the last digit,
+# even at integer exponents, so every power other than 1 goes through
+# Python's ``**`` one cell at a time.
+
+
+def _floats(values):
+    """The list ``values`` as a float64 array when every one is a Python float, else None."""
+    if all(type(v) is float for v in values):
+        return np.array(values, dtype=float)
+    return None
+
+
+def _power_cells(values, exponent):
+    """``x ** exponent`` for every cell x of a 2-d float array, by Python's float ``**``.
+
+    The array is returned as it is at exponent 1, where ``x ** 1.0 == x``.
+    """
+    e = float(exponent)
+    if e == 1.0:
+        return values
+    return np.array([[x ** e for x in row] for row in values.tolist()], dtype=float)
+
+
+def _powered_abs_cells(delta, exponent):
+    """:func:`powered_abs` over a 2-d float array.
+
+    For a float magnitude, powered_abs raises it to float(exponent) in every
+    branch, and leaves it alone at exponent 1.
+    """
+    return _power_cells(np.abs(delta), exponent)
+
+
+def _t_costs(rows, cols, exponent):
+    """``powered_abs(y.t - z.t, exponent)`` over rows x cols, or None unless every t is a float."""
+    s = _floats([y.t for y in rows])
+    t = _floats([z.t for z in cols])
+    if s is None or t is None:
+        return None
+    return _powered_abs_cells(s[:, None] - t[None, :], exponent)
+
+
+def _root_cells(values, q):
+    """:func:`root` over a 2-d float array of costs.
+
+    ``root`` clamps negative rounding dust to zero first; a broadcast cost is
+    a sum of nonnegative terms, so there is none to clamp.
+    """
+    if isinstance(q, Fraction) and q.denominator == 1:
+        q = int(q)
+    if q == 1:
+        return values
+    if q == 2:
+        return np.sqrt(values)
+    return _power_cells(values, 1.0 / float(q))
+
+
+# ---------------------------------------------------------------------------
 # spaces
+
+
+class _CostMatrix:
+    """The cost matrix every space kind builds from its ``powered_distance``."""
+
+    def cost_matrix(self, rows, cols, p):
+        """The m x n list of lists of ``powered_distance(y, z, p)``, y in rows, z in cols.
+
+        The points must already be valid points of the space and p >= 1.
+        When every coordinate (every matrix entry, for a ``Finite`` space) is
+        a float, the matrix is broadcast in numpy, cell for cell bit-identical
+        to the scalar code. Any other input takes the scalar code cell by cell.
+        """
+        costs = self._float_costs(rows, cols, p)
+        if costs is None:
+            cell = self.powered_distance
+            return [[cell(y, z, p) for z in cols] for y in rows]
+        return costs.tolist()
 
 
 def _check_unit_range(t, what):
@@ -110,7 +198,7 @@ def _check_alpha(alpha):
 
 
 @dataclass(frozen=True)
-class Interval:
+class Interval(_CostMatrix):
     """[0, 1] with d(t, t') = |t - t'| ** alpha."""
 
     alpha: Union[int, float, Fraction] = 1
@@ -129,12 +217,15 @@ class Interval:
     def powered_distance(self, a, b, p):
         return powered_abs(a.t - b.t, _mul_exponents(self.alpha, p))
 
+    def _float_costs(self, rows, cols, p):
+        return _t_costs(rows, cols, _mul_exponents(self.alpha, p))
+
     def describe(self):
         return f"interval:alpha={format_number(self.alpha)}"
 
 
 @dataclass(frozen=True)
-class Euclidean:
+class Euclidean(_CostMatrix):
     """R^dim with the Euclidean metric. dim == 1 stays exact for exact inputs."""
 
     dim: int = 1
@@ -152,7 +243,12 @@ class Euclidean:
             )
 
     def _sq(self, a, b):
-        return sum((u - v) * (u - v) for u, v in zip(a.coords, b.coords))
+        # a plain running sum, the order cost_matrix repeats on arrays (the
+        # builtin sum compensates float sums from Python 3.12 on)
+        total = 0
+        for u, v in zip(a.coords, b.coords):
+            total = total + (u - v) * (u - v)
+        return total
 
     def distance(self, a, b):
         if self.dim == 1:
@@ -170,6 +266,23 @@ class Euclidean:
         if isinstance(p, float) and p == int(p) and int(p) % 2 == 0:
             return sq ** (int(p) // 2)
         return float(sq) ** (float(p) / 2.0)
+
+    def _float_costs(self, rows, cols, p):
+        ys = _floats([c for y in rows for c in y.coords])
+        zs = _floats([c for z in cols for c in z.coords])
+        if ys is None or zs is None:
+            return None
+        ys = ys.reshape(len(rows), self.dim)
+        zs = zs.reshape(len(cols), self.dim)
+        if self.dim == 1:
+            return _powered_abs_cells(ys[:, :1] - zs[None, :, 0], p)
+        # _sq's running sum, dimension by dimension from the first square;
+        # a float sq is raised to float(p) / 2 in every branch above
+        sq = None
+        for k in range(self.dim):
+            d = ys[:, None, k] - zs[None, :, k]
+            sq = d * d if sq is None else sq + d * d
+        return _power_cells(sq, float(p) / 2.0)
 
     def describe(self):
         return f"euclidean:dim={self.dim}"
@@ -220,7 +333,7 @@ def _validate_finite_matrix(matrix):
 
 
 @dataclass(frozen=True)
-class Finite:
+class Finite(_CostMatrix):
     """Finite metric space given by its full distance matrix (indices 0..n-1)."""
 
     matrix: tuple = field()
@@ -246,12 +359,26 @@ class Finite:
     def powered_distance(self, a, b, p):
         return powered_abs(self.matrix[a.index][b.index], p)
 
+    @cached_property
+    def _float_matrix(self):
+        """The matrix as a float64 array when every entry is a float, else None."""
+        flat = _floats([v for row in self.matrix for v in row])
+        return None if flat is None else flat.reshape(self.size, self.size)
+
+    def _float_costs(self, rows, cols, p):
+        matrix = self._float_matrix
+        if matrix is None:
+            return None
+        r = np.array([y.index for y in rows], dtype=np.intp)
+        c = np.array([z.index for z in cols], dtype=np.intp)
+        return _powered_abs_cells(matrix[np.ix_(r, c)], p)
+
     def describe(self):
         return f"finite:n={self.size}"
 
 
 @dataclass(frozen=True)
-class Product:
+class Product(_CostMatrix):
     """[0, 1] x base under the snowflake product metric.
 
     d((t, x), (t', x')) = (|t - t'| ** (alpha * q) + d_X(x, x') ** q) ** (1/q)
@@ -280,6 +407,18 @@ class Product:
             return fiber + self.base.powered_distance(a.x, b.x, self.q)
         d = self.distance(a, b)
         return powered_abs(d, p)
+
+    def _float_costs(self, rows, cols, p):
+        if p == self.q:
+            fiber = _t_costs(rows, cols, _mul_exponents(self.alpha, self.q))
+            if fiber is None:
+                return None
+            base = self.base._float_costs([y.x for y in rows], [z.x for z in cols], self.q)
+            return None if base is None else fiber + base
+        costs = self._float_costs(rows, cols, self.q)
+        if costs is None:
+            return None
+        return _powered_abs_cells(_root_cells(costs, self.q), p)
 
     def distance(self, a, b):
         return root(self.powered_distance(a, b, self.q), self.q)

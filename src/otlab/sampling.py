@@ -9,6 +9,7 @@ stay in rational arithmetic end to end.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +67,16 @@ def random_masses(rng, count, exact=False, denominator=64):
 
 
 def _random_fraction(rng, lo, hi, denominator):
-    return Fraction(int(rng.integers(lo * denominator, hi * denominator + 1)), denominator)
+    """A uniform multiple of 1/denominator in [lo, hi].
+
+    Numerators run from ceil(lo * denominator) to floor(hi * denominator);
+    for a float bound and a power-of-two denominator that product is exact.
+    """
+    low = math.ceil(lo * denominator)
+    high = math.floor(hi * denominator)
+    if low > high:
+        raise DomainError(f"window [{lo!r}, {hi!r}] holds no multiple of 1/{denominator}")
+    return Fraction(int(rng.integers(low, high + 1)), denominator)
 
 
 def _window_bounds(window):
@@ -89,9 +99,7 @@ def random_point(rng, space, exact=False, window=DEFAULT_WINDOW, denominator=32)
     if isinstance(space, Euclidean):
         lo, hi = _window_bounds(window)
         if exact:
-            coords = tuple(
-                _random_fraction(rng, int(lo), int(hi), denominator) for _ in range(space.dim)
-            )
+            coords = tuple(_random_fraction(rng, lo, hi, denominator) for _ in range(space.dim))
         else:
             coords = tuple(float(c) for c in rng.uniform(lo, hi, space.dim))
         return EuclideanPoint(coords)

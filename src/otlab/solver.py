@@ -40,7 +40,6 @@ from .errors import (
 )
 from ._numbers import DEFAULT_TOL, all_exact, format_number, denominator_lcm, root
 from .measure import _point_tokens
-from .metric import powered_distance
 
 __all__ = [
     "Coupling",
@@ -144,17 +143,28 @@ def validate_coupling(pi, mu, nu, tol=DEFAULT_TOL):
             raise CouplingError(f"column marginal {got!r} differs from measure mass {want!r}")
 
 
-def coupling_cost(pi, p=1):
-    """Total powered cost sum of weight * d(row, col)**p over the plan."""
+def _check_plan_points(pi, p):
+    """Check p and every row and column point of the plan, each point once."""
     if not p >= 1:
         raise DomainError(f"cost exponent p={p!r} must be >= 1")
+    for point in pi.row_points + pi.col_points:
+        pi.space.validate_point(point)
+
+
+def coupling_cost(pi, p=1):
+    """Total powered cost sum of weight * d(row, col)**p over the plan.
+
+    Only the plan's nonzero cells are costed: a vertex plan has at most
+    m + n - 1 of its m * n cells.
+    """
+    _check_plan_points(pi, p)
     space = pi.space
     total = 0
     for j, row in enumerate(pi.weights):
         y = pi.row_points[j]
         for k, w in enumerate(row):
             if w != 0:
-                total = total + w * powered_distance(space, y, pi.col_points[k], p)
+                total = total + w * space.powered_distance(y, pi.col_points[k], p)
     return total
 
 
@@ -358,6 +368,9 @@ class TransportResult:
     duals (u over the row support, v over the column support) anchored at
     u[0] = 0; ``certified`` records that dual feasibility, complementary
     slackness, and a zero duality gap were verified on the returned plan.
+    ``arithmetic`` is ``"exact"`` when the masses and every cost d**p were
+    int/Fraction and the solve ran in exact arithmetic, else ``"float"``:
+    exact inputs whose powered distances are not exact come back float.
     """
 
     p: object
@@ -367,6 +380,7 @@ class TransportResult:
     dual_potentials: tuple
     certified: bool
     pivots: int
+    arithmetic: str
 
 
 def _certify(a, b, cost, flows, u, v, m, n, exact, tol):
@@ -395,13 +409,17 @@ def _certify(a, b, cost, flows, u, v, m, n, exact, tol):
 def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
+    The m x n cost matrix comes from the space's ``cost_matrix``: broadcast
+    in numpy when every coordinate is a float, bit-identical to
+    ``powered_distance`` cell by cell, and built cell by cell otherwise.
     Runs the transportation simplex from the northwest-corner plan, with
     block-search pricing on strongly feasible trees. The pivot budget
     defaults to 10 * m * n; exhausting it raises :class:`SolverStallError`
     rather than returning an approximation. Exact mass/cost inputs produce
-    exact Fractions and an exactly certified optimum. Where several plans are
-    optimal, which one comes back (and its potentials) is up to the pivot
-    rule; the cost is not.
+    exact Fractions and an exactly certified optimum; the result's
+    ``arithmetic`` says which arithmetic the solve ran in. Where several
+    plans are optimal, which one comes back (and its potentials) is up to
+    the pivot rule; the cost is not.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
@@ -412,7 +430,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     cols = nu.support
     m, n = len(rows), len(cols)
     # the measures validated their points and p is checked above
-    cost = [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+    cost = space.cost_matrix(rows, cols, p)
     a = list(mu.masses)
     b = list(nu.masses)
     exact = all_exact(a) and all_exact(b) and all_exact(c for r in cost for c in r)
@@ -460,6 +478,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         dual_potentials=(tuple(u), tuple(v)),
         certified=certified,
         pivots=pivots,
+        arithmetic="exact" if exact else "float",
     )
 
 
@@ -588,16 +607,8 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
         raise BudgetError(
             f"{len(cells)} support pairs ** {max_cycle} exceeds budget {budget}"
         )
-    space = pi.space
-    cost_cache = {}
-
-    def c(j, k):
-        key = (j, k)
-        got = cost_cache.get(key)
-        if got is None:
-            got = powered_distance(space, pi.row_points[j], pi.col_points[k], p)
-            cost_cache[key] = got
-        return got
+    _check_plan_points(pi, p)
+    cost = pi.space.cost_matrix(pi.row_points, pi.col_points, p)
 
     checked = 0
     for L in range(2, max_cycle + 1):
@@ -605,7 +616,7 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
             base = 0
             for idx in subset:
                 j, k, _ = cells[idx]
-                base = base + c(j, k)
+                base = base + cost[j][k]
             first = subset[0]
             for rest in itertools.permutations(subset[1:]):
                 order = (first,) + rest
@@ -614,7 +625,7 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
                 for pos, idx in enumerate(order):
                     j = cells[idx][0]
                     k_next = cells[order[(pos + 1) % L]][1]
-                    swapped = swapped + c(j, k_next)
+                    swapped = swapped + cost[j][k_next]
                 if swapped < base - tol:
                     witness = tuple(
                         (pi.row_points[cells[idx][0]], pi.col_points[cells[idx][1]])

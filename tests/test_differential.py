@@ -1,16 +1,22 @@
-"""Exact solves with mixed cost denominators against exhaustive enumeration.
+"""Exact solves with mixed cost denominators against exhaustive enumeration,
+and float solves at unit scale against HiGHS.
 
 The solver builds its plans without the mass checks of ``Coupling``, so every
 plan here is also checked against the measures' marginals.
 """
 
+import math
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab import (
     DiscreteMeasure,
+    Euclidean,
+    EuclideanPoint,
     Interval,
     IntervalPoint,
     Product,
@@ -19,7 +25,7 @@ from otlab import (
     validate_coupling,
 )
 
-from oracles import exhaustive_min_cost
+from oracles import exhaustive_min_cost, linprog_transport_cost
 
 EIGHTHS = 8
 COORD = st.fractions(min_value=0, max_value=1, max_denominator=7)
@@ -66,3 +72,54 @@ def test_interval_squared_cost_matches_enumeration(mu, nu):
 @given(measures(CITY_BLOCK, CITY_BLOCK_POINT), measures(CITY_BLOCK, CITY_BLOCK_POINT))
 def test_city_block_cost_matches_enumeration(mu, nu):
     assert_matches_enumeration(mu, nu, 1)
+
+
+UNIT = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+
+
+@st.composite
+def float_measures(draw, space, point):
+    """1 to 6 distinct points with float masses normalized to sum to 1."""
+    raw = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=1, max_size=6))
+    total = sum(raw)
+    points = draw(st.lists(point, min_size=len(raw), max_size=len(raw), unique=True))
+    return DiscreteMeasure(space, tuple(zip(points, [w / total for w in raw])))
+
+
+def assert_matches_highs(mu, nu, p, cost):
+    """``cost(y, z)`` is the test's own d**p, written out from the metric's formula."""
+    result = solve_wasserstein(mu, nu, p=p)
+    costs = [[cost(y, z) for z in nu.support] for y in mu.support]
+    reference = linprog_transport_cost(mu.masses, nu.masses, costs)
+    assert result.arithmetic == "float"
+    assert result.powered_cost == pytest.approx(reference, abs=1e-9)
+    assert result.certified
+    validate_coupling(result.coupling, mu, nu)
+
+
+SNOWFLAKE_PLANE = Product(0.5, 2, Euclidean(2))
+PLANE_POINT = st.builds(
+    ProductPoint, UNIT, st.builds(EuclideanPoint, st.tuples(UNIT, UNIT))
+)
+SPACE_3D = Euclidean(3)
+SPACE_3D_POINT = st.builds(EuclideanPoint, st.tuples(UNIT, UNIT, UNIT))
+
+
+def snowflake_plane_squared(y, z):
+    # (|t - t'|^(1/2 * 2) + |x - x'|^2) at p = q = 2
+    return abs(y.t - z.t) + math.dist(y.x.coords, z.x.coords) ** 2
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    float_measures(SNOWFLAKE_PLANE, PLANE_POINT),
+    float_measures(SNOWFLAKE_PLANE, PLANE_POINT),
+)
+def test_float_snowflake_plane_matches_highs(mu, nu):
+    assert_matches_highs(mu, nu, 2, snowflake_plane_squared)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(float_measures(SPACE_3D, SPACE_3D_POINT), float_measures(SPACE_3D, SPACE_3D_POINT))
+def test_float_euclidean_3d_matches_highs(mu, nu):
+    assert_matches_highs(mu, nu, 1, lambda y, z: math.dist(y.coords, z.coords))

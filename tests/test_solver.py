@@ -320,3 +320,29 @@ def test_final_tree_is_strongly_feasible(kind):
                     if nb >= k:
                         assert flows[(node, nb - k)] > 0, (k, node, nb)
         assert len(seen) == 2 * k
+
+
+def test_arithmetic_says_how_the_solve_ran():
+    from otlab import result_record
+
+    half = Fraction(1, 2)
+    plane = Product(half, 2, Euclidean(2))
+    mu = DiscreteMeasure(plane, ((ProductPoint(0, EuclideanPoint((0, 0))), 1),))
+    nu = DiscreteMeasure(
+        plane,
+        (
+            (ProductPoint(half, EuclideanPoint((1, 0))), half),
+            (ProductPoint(1, EuclideanPoint((0, half))), half),
+        ),
+    )
+    # p != q takes a square root: Fraction inputs, float costs
+    assert solve_wasserstein(mu, nu, p=1).arithmetic == "float"
+    assert solve_wasserstein(mu, nu, p=2).arithmetic == "exact"
+    city = Product(1, 1, Interval(1))
+    mu = DiscreteMeasure(city, ((ProductPoint(0, IntervalPoint(half)), 1),))
+    nu = DiscreteMeasure(city, ((ProductPoint(half, IntervalPoint(1)), 1),))
+    result = solve_wasserstein(mu, nu, p=1)
+    assert (result.arithmetic, result.powered_cost) == ("exact", 1)
+    floats = DiscreteMeasure(city, ((ProductPoint(0.5, IntervalPoint(1.0)), 1.0),))
+    assert solve_wasserstein(mu, floats, p=1).arithmetic == "float"
+    assert "arithmetic" not in result_record(result)
