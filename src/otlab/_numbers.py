@@ -4,6 +4,11 @@ Scalars flow through the library as plain Python numbers: ``float`` in float
 mode, ``int``/``Fraction`` in exact mode. Exactness is a property of the
 inputs, not a global switch; these helpers keep parsing, formatting, and
 exponentiation consistent between the two modes.
+
+One rule holds for every exponent here and in the metric layer: an exponent
+equal to an integer is that integer, so ``2``, ``Fraction(4, 2)`` and ``2.0``
+give the same value of the same type. Only a non-integral exponent such as
+``3/2`` or ``1.5`` takes the float path.
 """
 
 from __future__ import annotations
@@ -78,21 +83,17 @@ def format_number(x) -> str:
 def powered_abs(delta, exponent):
     """Compute ``|delta| ** exponent`` staying exact when possible.
 
-    Exact inputs stay exact when the exponent is a nonnegative integer
-    (including Fractions with denominator 1); any other combination falls
-    back to floats.
+    Exact inputs stay exact when the exponent is a nonnegative integer; any
+    other combination falls back to floats.
     """
     mag = abs(delta)
-    if isinstance(exponent, Fraction) and exponent.denominator == 1:
+    if exponent == int(exponent):
         exponent = int(exponent)
-    if isinstance(exponent, int):
         if exponent == 1:
             return mag
         if is_exact(mag):
             return mag**exponent
         return float(mag) ** exponent
-    if isinstance(exponent, float) and exponent == int(exponent):
-        return powered_abs(mag, int(exponent))
     return float(mag) ** float(exponent)
 
 
@@ -102,8 +103,6 @@ def root(value, q):
     Exact values survive only the trivial ``q == 1`` case; everything else
     is a float. Tiny negative float dust is clamped to zero.
     """
-    if isinstance(q, Fraction) and q.denominator == 1:
-        q = int(q)
     if q == 1:
         return value
     v = float(value)

@@ -453,7 +453,7 @@ def _scenario_spaces(exact):
     }
 
 
-SCENARIO_NAMES = ("example-2-1", "example-2-2", "example-2-3", "example-3-2")
+SCENARIO_NAMES = tuple(_scenario_spaces(exact=False))
 
 
 # ---------------------------------------------------------------------------

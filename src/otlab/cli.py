@@ -48,6 +48,14 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+# the exit code of an error that ends a command; the first matching entry wins
+_EXIT_CODES = (
+    (SolverStallError, EXIT_NUMERICAL),
+    ((ParseError, DomainError, InvalidSpaceError, InvalidMeasureError), EXIT_USAGE),
+    ((SpaceMismatchError, FiberCollisionError, OSError), EXIT_USAGE),
+    (OTLabError, EXIT_INVARIANT),
+)
+
 _TRANSFORMS = (*_ISOMETRY_NAMES, "fiber-flip")
 
 
@@ -71,12 +79,11 @@ class RunConfig:
     space_explicit: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("float", "rational"):
-            raise DomainError(f"mode must be 'float' or 'rational', got {self.mode!r}")
-        if self.space_kind not in ("interval", "product"):
-            raise DomainError(f"space must be 'interval' or 'product', got {self.space_kind!r}")
-        if self.base_kind not in ("euclidean", "interval"):
-            raise DomainError(f"base must be 'euclidean' or 'interval', got {self.base_kind!r}")
+        for key, (field, _, _, flag) in _OPTIONS.items():
+            value = getattr(self, field)
+            if "choices" in flag and value not in flag["choices"]:
+                allowed = " or ".join(repr(c) for c in flag["choices"])
+                raise DomainError(f"{key} must be {allowed}, got {value!r}")
         if self.space_kind == "product" and (self.alpha is None or self.q is None):
             raise DomainError("a product space needs both alpha and q")
         if not self.tol > 0:
@@ -94,30 +101,70 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# config file and number handling
+# run options: each is a flag and a config key at once
+#
+# A reader turns the text of a flag or a config entry into its RunConfig value.
+# Numbers are read in the final mode, which may itself come from the file.
 
-# every key accepted in a config file, with the argparse destination it fills
-_CONFIG_KEYS = (
-    "space",
-    "alpha",
-    "q",
-    "base",
-    "dim",
-    "mode",
-    "tol",
-    "seed",
-    "trials",
-    "order",
-    "window",
-    "report",
-    "csv",
-)
 
-_INT_KEYS = ("dim", "seed", "trials")
-_CHOICE_KEYS = {
-    "space": ("interval", "product"),
-    "base": ("euclidean", "interval"),
-    "mode": ("float", "rational"),
+def _text(key, token, exact):
+    return token
+
+
+def _integer(key, token, exact):
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"{key} must be an integer, got {token!r}") from None
+
+
+def _real(key, token, exact):
+    try:
+        return float(token)
+    except ValueError:
+        raise DomainError(f"{key} must be a number, got {token!r}") from None
+
+
+def _number(key, token, exact):
+    try:
+        return parse_number(token, exact=exact)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+
+
+def _window(key, token, exact):
+    # a bare radius r means [-r, r]; "lo:hi" pins both ends
+    if ":" in token:
+        lo_tok, _, hi_tok = token.partition(":")
+        lo = _number(key, lo_tok.strip(), exact)
+        hi = _number(key, hi_tok.strip(), exact)
+        if not lo < hi:
+            raise DomainError(f"window {token!r} is empty")
+        return (lo, hi)
+    radius = _number(key, token, exact)
+    if not radius > 0:
+        raise DomainError("window radius must be positive")
+    return radius
+
+
+# key -> (RunConfig field, reader, whether it names the space, argparse
+# arguments of its flag), in the order the flags appear in --help
+_OPTIONS = {
+    "mode": ("mode", _text, False, {"choices": ("float", "rational")}),
+    "seed": ("seed", _integer, False, {"type": int}),
+    "trials": ("trials", _integer, False, {"type": int}),
+    "tol": ("tol", _real, False, {"type": float}),
+    "space": ("space_kind", _text, True, {"choices": ("interval", "product")}),
+    "alpha": ("alpha", _number, True, {"help": "product snowflake exponent in (0, 1]"}),
+    "q": ("q", _number, True, {"help": "product combining exponent, q >= 1"}),
+    "base": (
+        "base_kind", _text, True, {"choices": ("euclidean", "interval"), "help": "product base space"}
+    ),
+    "dim": ("dim", _integer, True, {"type": int, "help": "euclidean base dimension"}),
+    "order": ("order", _number, False, {"help": "transport order p (dist)"}),
+    "window": ("window", _window, False, {"help": "sampling window: radius or lo:hi"}),
+    "report": ("report", _text, False, {"help": "report output path (verify/scenario)"}),
+    "csv": ("csv", _text, False, {"help": "residual CSV output path (verify/scenario)"}),
 }
 
 
@@ -143,15 +190,16 @@ def parse_config(path):
         key = key_part.strip()
         value = value_part.strip()
         key_col = 1 + len(key_part) - len(key_part.lstrip())
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ParseError(f"unknown config key {key!r}", path=path, line=lineno, column=key_col)
         if not value:
             value_col = 1 + len(text.rstrip())
             raise ParseError(f"missing value for {key!r}", path=path, line=lineno, column=value_col)
-        if key in _CHOICE_KEYS and value not in _CHOICE_KEYS[key]:
+        choices = _OPTIONS[key][3].get("choices")
+        if choices and value not in choices:
             value_col = 2 + len(key_part) + len(value_part) - len(value_part.lstrip())
             raise ParseError(
-                f"{key} must be one of {', '.join(_CHOICE_KEYS[key])}",
+                f"{key} must be one of {', '.join(choices)}",
                 path=path,
                 line=lineno,
                 column=value_col,
@@ -160,85 +208,27 @@ def parse_config(path):
     return entries
 
 
-def _number(token, exact):
-    try:
-        return parse_number(token, exact=exact)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
-
-
-def _parse_window(token, exact):
-    # a bare radius r means [-r, r]; "lo:hi" pins both ends
-    if ":" in token:
-        lo_tok, _, hi_tok = token.partition(":")
-        lo = _number(lo_tok.strip(), exact)
-        hi = _number(hi_tok.strip(), exact)
-        if not lo < hi:
-            raise DomainError(f"window {token!r} is empty")
-        return (lo, hi)
-    radius = _number(token, exact)
-    if not radius > 0:
-        raise DomainError("window radius must be positive")
-    return radius
-
-
-def _parse_int(name, token):
-    try:
-        return int(token)
-    except ValueError:
-        raise DomainError(f"{name} must be an integer, got {token!r}") from None
-
-
 def build_config(args):
     """Merge CLI flags over config-file entries over defaults."""
     entries = parse_config(args.config) if args.config else {}
-
-    def pick(key):
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            return str(flag), True
+            entries[key] = str(flag)
+    exact = entries.get("mode") == "rational"
+    values = {}
+    space_explicit = False
+    for key, (field, read, names_space, _) in _OPTIONS.items():
         if key in entries:
-            return entries[key], True
-        return None, False
-
-    mode, _ = pick("mode")
-    mode = mode or "float"
-    exact = mode == "rational"
-
-    values = {"mode": mode}
-    explicit_space = False
-    for key in ("space", "base"):
-        value, given = pick(key)
-        if given:
-            explicit_space = True
-            values[{"space": "space_kind", "base": "base_kind"}[key]] = value
-    for key in _INT_KEYS:
-        value, given = pick(key)
-        if given:
-            explicit_space = explicit_space or key == "dim"
-            values[key] = _parse_int(key, value)
-    for key in ("alpha", "q", "order"):
-        value, given = pick(key)
-        if given:
-            explicit_space = explicit_space or key in ("alpha", "q")
-            values[key] = _number(value, exact)
-    value, given = pick("tol")
-    if given:
-        values["tol"] = float(value)
-    value, given = pick("window")
-    if given:
-        values["window"] = _parse_window(value, exact)
-    for key in ("report", "csv"):
-        value, given = pick(key)
-        if given:
-            values[key] = value
+            values[field] = read(key, entries[key], exact)
+            space_explicit = space_explicit or names_space
 
     if values.get("space_kind") == "product" or "alpha" in values or "q" in values:
         values.setdefault("space_kind", "product")
         one = Fraction(1) if exact else 1.0
         values.setdefault("alpha", one / 2)
         values.setdefault("q", 2)
-    return RunConfig(space_explicit=explicit_space, **values)
+    return RunConfig(space_explicit=space_explicit, **values)
 
 
 def build_space(cfg):
@@ -376,19 +366,8 @@ def _add_common(parser, trailing):
     # that was already given before the subcommand
     kw = {"default": argparse.SUPPRESS} if trailing else {}
     parser.add_argument("--config", help="key = value config file; flags override it", **kw)
-    parser.add_argument("--mode", choices=("float", "rational"), **kw)
-    parser.add_argument("--seed", type=int, **kw)
-    parser.add_argument("--trials", type=int, **kw)
-    parser.add_argument("--tol", type=float, **kw)
-    parser.add_argument("--space", choices=("interval", "product"), **kw)
-    parser.add_argument("--alpha", help="product snowflake exponent in (0, 1]", **kw)
-    parser.add_argument("--q", help="product combining exponent, q >= 1", **kw)
-    parser.add_argument("--base", choices=("euclidean", "interval"), help="product base space", **kw)
-    parser.add_argument("--dim", type=int, help="euclidean base dimension", **kw)
-    parser.add_argument("--order", help="transport order p (dist)", **kw)
-    parser.add_argument("--window", help="sampling window: radius or lo:hi", **kw)
-    parser.add_argument("--report", help="report output path (verify/scenario)", **kw)
-    parser.add_argument("--csv", help="residual CSV output path (verify/scenario)", **kw)
+    for key, (_, _, _, flag) in _OPTIONS.items():
+        parser.add_argument(f"--{key}", **flag, **kw)
 
 
 def _build_parser():
@@ -434,27 +413,9 @@ def entry(argv=None):
         if args.command == "verify":
             return cmd_verify(cfg, args.suite)
         return cmd_scenario(cfg, args.name)
-    except ParseError as exc:
+    except (OTLabError, OSError) as exc:
         print(f"otlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SolverStallError as exc:
-        print(f"otlab: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (
-        DomainError,
-        InvalidSpaceError,
-        InvalidMeasureError,
-        SpaceMismatchError,
-        FiberCollisionError,
-    ) as exc:
-        print(f"otlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"otlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OTLabError as exc:
-        print(f"otlab: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -207,15 +207,18 @@ def flip(mu):
         raise SpaceMismatchError("flip needs a measure on the interval")
     ts = [p.t for p, _ in mu.atoms]
     masses = [m for _, m in mu.atoms]
+    # the ends of a float measure are floats too, so its costs stay all-float;
+    # the t's count as well, since disintegrate turns an exact mass 1 into 1.0
+    zero, one = (0.0, 1.0) if all(isinstance(v, float) for v in ts + masses) else (0, 1)
     atoms = []
     if ts[0] != 0:
-        atoms.append((IntervalPoint(0), ts[0]))
+        atoms.append((IntervalPoint(zero), ts[0]))
     acc = 0
     for i in range(len(ts) - 1):
         acc = acc + masses[i]
         atoms.append((IntervalPoint(acc), ts[i + 1] - ts[i]))
     if ts[-1] != 1:
-        atoms.append((IntervalPoint(1), 1 - ts[-1]))
+        atoms.append((IntervalPoint(one), 1 - ts[-1]))
     return DiscreteMeasure(mu.space, tuple(atoms))
 
 

@@ -125,20 +125,14 @@ def _power_cells(values, exponent):
     """``x ** exponent`` for every cell x of a 2-d float array, by Python's float ``**``.
 
     The array is returned as it is at exponent 1, where ``x ** 1.0 == x``.
+    So ``_power_cells(np.abs(delta), e)`` is :func:`powered_abs` over an array:
+    for a float magnitude, powered_abs raises it to float(e) in every branch,
+    and leaves it alone at exponent 1.
     """
     e = float(exponent)
     if e == 1.0:
         return values
     return np.array([[x ** e for x in row] for row in values.tolist()], dtype=float)
-
-
-def _powered_abs_cells(delta, exponent):
-    """:func:`powered_abs` over a 2-d float array.
-
-    For a float magnitude, powered_abs raises it to float(exponent) in every
-    branch, and leaves it alone at exponent 1.
-    """
-    return _power_cells(np.abs(delta), exponent)
 
 
 def _t_costs(rows, cols, exponent):
@@ -147,7 +141,7 @@ def _t_costs(rows, cols, exponent):
     t = _floats([z.t for z in cols])
     if s is None or t is None:
         return None
-    return _powered_abs_cells(s[:, None] - t[None, :], exponent)
+    return _power_cells(np.abs(s[:, None] - t[None, :]), exponent)
 
 
 def _root_cells(values, q):
@@ -156,8 +150,6 @@ def _root_cells(values, q):
     ``root`` clamps negative rounding dust to zero first; a broadcast cost is
     a sum of nonnegative terms, so there is none to clamp.
     """
-    if isinstance(q, Fraction) and q.denominator == 1:
-        q = int(q)
     if q == 1:
         return values
     if q == 2:
@@ -259,11 +251,7 @@ class Euclidean(_CostMatrix):
         if self.dim == 1:
             return powered_abs(a.coords[0] - b.coords[0], p)
         sq = self._sq(a, b)
-        if isinstance(p, Fraction) and p.denominator == 1:
-            p = int(p)
-        if isinstance(p, int) and p % 2 == 0:
-            return sq ** (p // 2)
-        if isinstance(p, float) and p == int(p) and int(p) % 2 == 0:
+        if p == int(p) and int(p) % 2 == 0:
             return sq ** (int(p) // 2)
         return float(sq) ** (float(p) / 2.0)
 
@@ -275,7 +263,7 @@ class Euclidean(_CostMatrix):
         ys = ys.reshape(len(rows), self.dim)
         zs = zs.reshape(len(cols), self.dim)
         if self.dim == 1:
-            return _powered_abs_cells(ys[:, :1] - zs[None, :, 0], p)
+            return _power_cells(np.abs(ys[:, :1] - zs[None, :, 0]), p)
         # _sq's running sum, dimension by dimension from the first square;
         # a float sq is raised to float(p) / 2 in every branch above
         sq = None
@@ -318,8 +306,6 @@ def _validate_finite_matrix(matrix):
                             f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
                         )
     else:
-        import numpy as np
-
         D = np.asarray([[float(v) for v in row] for row in matrix])
         # slack absorbs decimal-to-binary round-off from file input
         slack = 1e-12
@@ -371,7 +357,7 @@ class Finite(_CostMatrix):
             return None
         r = np.array([y.index for y in rows], dtype=np.intp)
         c = np.array([z.index for z in cols], dtype=np.intp)
-        return _powered_abs_cells(matrix[np.ix_(r, c)], p)
+        return _power_cells(np.abs(matrix[np.ix_(r, c)]), p)
 
     def describe(self):
         return f"finite:n={self.size}"
@@ -418,7 +404,7 @@ class Product(_CostMatrix):
         costs = self._float_costs(rows, cols, self.q)
         if costs is None:
             return None
-        return _powered_abs_cells(_root_cells(costs, self.q), p)
+        return _power_cells(np.abs(_root_cells(costs, self.q)), p)
 
     def distance(self, a, b):
         return root(self.powered_distance(a, b, self.q), self.q)
@@ -434,13 +420,9 @@ MetricSpace = Union[Interval, Euclidean, Finite, Product]
 
 
 def _mul_exponents(a, b):
-    """Multiply two exponents, collapsing exact products to int when integral."""
+    """Multiply two exponents; an integral product is an int."""
     prod = a * b
-    if isinstance(prod, Fraction) and prod.denominator == 1:
-        return int(prod)
-    if isinstance(prod, float) and prod == int(prod):
-        return int(prod)
-    return prod
+    return int(prod) if prod == int(prod) else prod
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from otlab.cli import (
     EXIT_NUMERICAL,
     EXIT_PASS,
     EXIT_USAGE,
+    _build_parser,
     _campaign_exit,
+    build_config,
     entry,
     parse_config,
 )
@@ -221,6 +223,54 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         code, _ = run(capsys, "verify", "flip-isometry", "--config", str(tmp_path / "none.txt"))
         assert code == EXIT_USAGE
+
+    def test_unreadable_tol_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text("tol = abc\n")
+        code = entry(["verify", "flip-isometry", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "otlab: tol must be a number, got 'abc'\n"
+
+
+# every option, with two valid values for it
+OPTION_VALUES = {
+    "mode": ("rational", "float"),
+    "seed": ("9", "4"),
+    "trials": ("3", "7"),
+    "tol": ("1e-06", "0.25"),
+    "space": ("product", "interval"),
+    "alpha": ("1/3", "0.75"),
+    "q": ("3/2", "3"),
+    "base": ("interval", "euclidean"),
+    "dim": ("3", "2"),
+    "order": ("2", "3/2"),
+    "window": ("2:5", "4"),
+    "report": ("r.txt", "s.txt"),
+    "csv": ("r.csv", "s.csv"),
+}
+
+
+class TestFlagsAndConfigKeys:
+    def config(self, tmp_path, *argv, entries=None):
+        if entries:
+            path = tmp_path / "run.cfg"
+            path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+            argv = ("--config", str(path), *argv)
+        return build_config(_build_parser().parse_args(["verify", "duality-gap", *argv]))
+
+    @pytest.mark.parametrize("key", sorted(OPTION_VALUES))
+    def test_a_flag_and_its_config_key_agree(self, tmp_path, key):
+        first, second = OPTION_VALUES[key]
+        from_flag = self.config(tmp_path, f"--{key}", first)
+        from_file = self.config(tmp_path, entries={key: first})
+        assert from_flag == from_file
+        assert from_flag != self.config(tmp_path)
+        both = self.config(tmp_path, f"--{key}", second, entries={key: first})
+        assert both == self.config(tmp_path, f"--{key}", second)
+
+    def test_every_option_has_a_value_here(self):
+        flags = {a.dest for a in _build_parser()._actions if a.option_strings and a.dest != "help"}
+        assert flags - {"config"} == set(OPTION_VALUES)
 
 
 class TestExitCodes:

@@ -1,4 +1,5 @@
-"""Every module-level import in the package modules and the test modules is used."""
+"""Every module-level import in the package and test modules is used, and so is
+every module-level private name of the package."""
 
 import ast
 import pathlib
@@ -41,3 +42,67 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = TESTS.parent
+USERS = sorted(
+    p for d in ("src", "tests", "bench", "demos") for p in (ROOT / d).rglob("*.py")
+)
+
+
+def private_definitions(tree):
+    """Module-level ``_name`` definitions (not dunders) with their line spans."""
+    spans = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                spans[name] = (node.lineno, node.end_lineno)
+    return spans
+
+
+def name_uses(tree):
+    """(name, line) of every name read, attribute, imported name and string constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def orphaned_private_names(definitions, users):
+    """Names defined in ``definitions`` (path -> source) used nowhere in ``users`` but there."""
+    spans = {}
+    for path, source in definitions.items():
+        for name, span in private_definitions(ast.parse(source)).items():
+            spans.setdefault(name, {})[path] = span
+    orphans = {(path, name) for name, paths in spans.items() for path in paths}
+    for user, source in users.items():
+        for name, line in name_uses(ast.parse(source)):
+            for path, (first, last) in spans.get(name, {}).items():
+                if not (user == path and first <= line <= last):
+                    orphans.discard((path, name))
+    return sorted(f"{path}: {name}" for path, name in orphans)
+
+
+def test_scan_flags_an_orphaned_private_name():
+    lib = "def _live():\n    return 1\n\ndef _dead():\n    return _dead()\n\n_TABLE = {}\n"
+    user = "import lib\nlib._live()\nlookup = '_TABLE'\n"
+    found = orphaned_private_names({"lib": lib}, {"lib": lib, "user": user})
+    assert found == ["lib: _dead"]
+
+
+def test_package_private_names_are_used():
+    users = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in USERS}
+    definitions = {k: v for k, v in users.items() if k.startswith("src/otlab/")}
+    assert orphaned_private_names(definitions, users) == []

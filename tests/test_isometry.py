@@ -201,3 +201,22 @@ def test_fiber_flip_is_cost_nonincreasing_but_not_isometric(city_block_square):
     assert after.powered_cost == Fraction(1, 100)
     lifted = flip_coupling(before.coupling)
     assert coupling_cost(lifted, 1) == before.powered_cost
+
+
+def test_flips_of_float_measures_have_float_ends(unit_interval, snowflake_plane, city_block_square):
+    # all-float flips keep every cost on the float broadcast; exact ones stay exact
+    rng = make_rng(29)
+    for _ in range(20):
+        mu = random_measure(rng, snowflake_plane, int(rng.integers(1, 9)), distinct_fibers=True)
+        image = fiber_flip(mu)
+        assert {type(p.t) for p in image.support} == {float}
+        assert snowflake_plane._float_costs(image.support, image.support, 2) is not None
+        line = flip(random_measure(rng, unit_interval, int(rng.integers(1, 9))))
+        assert {type(p.t) for p in line.support} == {float}
+    assert [type(p.t) for p in flip(dirac(unit_interval, Fraction(1, 4))).support] == [int, int]
+    # disintegrate turns this int mass 1 into 1.0; the Fraction t keeps the ends int
+    exact = DiscreteMeasure(
+        city_block_square,
+        ((ProductPoint(Fraction(1, 2), IntervalPoint(Fraction(1, 2))), 1),),
+    )
+    assert [type(p.t) for p in fiber_flip(exact).support] == [int, int]

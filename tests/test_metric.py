@@ -26,6 +26,8 @@ from otlab import (
     segment_is_trivial,
     triangle_defect,
 )
+from otlab._numbers import powered_abs, root
+from otlab.metric import _mul_exponents
 
 
 def test_interval_distance_and_validation(unit_interval):
@@ -190,3 +192,96 @@ def test_finite_space_rejects_asymmetry(tmp_path):
 def test_finite_space_rejects_triangle_violation():
     with pytest.raises(InvalidSpaceError):
         Finite(((0, 1, 5), (1, 0, 1), (5, 1, 0)))
+
+
+# ---------------------------------------------------------------------------
+# the exponent rule: an exponent equal to an integer is that integer
+# each group spells one integer as an int, as integral Fractions and as a float
+INTEGRAL_EXPONENTS = (
+    (1, Fraction(1), Fraction(3, 3), 1.0),
+    (2, Fraction(2), Fraction(4, 2), 2.0),
+    (3, Fraction(3), Fraction(6, 2), 3.0),
+    (4, Fraction(4), Fraction(8, 2), 4.0),
+)
+TREE = (
+    (0, 2, 3, Fraction(5, 2)),
+    (2, 0, 1, Fraction(3, 2)),
+    (3, 1, 0, 1),
+    (Fraction(5, 2), Fraction(3, 2), 1, 0),
+)
+EXPONENT_SPACES = (
+    Interval(1),
+    Interval(Fraction(1, 2)),
+    Interval(0.5),
+    Euclidean(1),
+    Euclidean(2),
+    Euclidean(3),
+    Finite(TREE),
+    Finite(tuple(tuple(float(v) for v in row) for row in TREE)),
+    Product(Fraction(1, 2), 2, Euclidean(2)),
+    Product(0.5, 2, Euclidean(2)),
+    Product(1, 1, Interval(1)),
+    Product(Fraction(1, 2), 3, Finite(TREE)),
+)
+
+
+def typed(value):
+    """A value's type and its exact value (its bits, for a float), nested through lists."""
+    if isinstance(value, list):
+        return [typed(v) for v in value]
+    return (type(value), value.hex() if isinstance(value, float) else value)
+
+
+def exponent_points(space, scalars):
+    """Three points of ``space`` whose coordinates are drawn from ``scalars``, in [0, 1]."""
+    points = []
+    for i in range(3):
+        if isinstance(space, Interval):
+            points.append(IntervalPoint(scalars[i]))
+        elif isinstance(space, Euclidean):
+            points.append(EuclideanPoint(tuple(scalars[(i + k) % 3] for k in range(space.dim))))
+        elif isinstance(space, Finite):
+            points.append(FinitePoint(i))
+        else:
+            points.append(ProductPoint(scalars[2 - i], exponent_points(space.base, scalars)[i]))
+    return points
+
+
+@pytest.mark.parametrize("group", INTEGRAL_EXPONENTS, ids=lambda g: str(g[0]))
+def test_integral_exponents_agree_in_type_and_value(group):
+    for delta in (0, 3, Fraction(-2, 3), 0.0, -0.375, 1.3):
+        assert len({repr(typed(powered_abs(delta, e))) for e in group}) == 1, delta
+    for value in (0, 4, Fraction(9, 4), 2.0, 0.3):
+        assert len({repr(typed(root(value, e))) for e in group}) == 1, value
+    assert len({repr(typed(_mul_exponents(a, e))) for a in group for e in group}) == 1
+    for space in EXPONENT_SPACES:
+        for scalars in ((0, 1, 1), (Fraction(1, 4), Fraction(2, 3), 1), (0.25, 0.7, 1.0)):
+            pts = exponent_points(space, scalars)
+            cells = [[space.powered_distance(y, z, e) for y in pts for z in pts] for e in group]
+            assert len({repr(typed(c)) for c in cells}) == 1, (space, scalars)
+            matrices = {repr(typed(space.cost_matrix(pts, pts[::-1], e))) for e in group}
+            assert len(matrices) == 1, (space, scalars)
+
+
+def test_integral_exponents_keep_exact_values_exact():
+    half = Fraction(1, 2)
+    assert typed(powered_abs(-half, Fraction(4, 2))) == (Fraction, Fraction(1, 4))
+    assert typed(powered_abs(-half, 2.0)) == (Fraction, Fraction(1, 4))
+    assert typed(_mul_exponents(half, 2.0)) == (int, 1)
+    assert typed(_mul_exponents(half, Fraction(6, 2))) == (Fraction, Fraction(3, 2))
+    a = EuclideanPoint((half, 0))
+    b = EuclideanPoint((0, 1))
+    assert typed(Euclidean(2).powered_distance(a, b, 4.0)) == (Fraction, Fraction(25, 16))
+
+
+def test_non_integral_exponents_take_the_float_path():
+    quarter = Fraction(1, 4)
+    for e in (Fraction(3, 2), 1.5):
+        assert typed(powered_abs(quarter, e)) == (float, (0.125).hex())
+        assert typed(root(Fraction(9, 4), e)) == (float, (2.25 ** (1 / 1.5)).hex())
+        a = EuclideanPoint((Fraction(3, 5), Fraction(0)))
+        b = EuclideanPoint((Fraction(0), Fraction(4, 5)))
+        assert typed(Euclidean(2).powered_distance(a, b, e)) == (float, (1.0).hex())
+        assert typed(Interval(1).cost_matrix([IntervalPoint(0)], [IntervalPoint(quarter)], e)) == [
+            [(float, (0.125).hex())]
+        ]
