@@ -25,6 +25,7 @@ __all__ = [
     "powered_abs",
     "root",
     "denominator_lcm",
+    "integer_units",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -116,3 +117,9 @@ def root(value, q):
 def denominator_lcm(values) -> int:
     """lcm of the denominators of exact values (1 if the list is empty)."""
     return math.lcm(*{v.denominator for v in values})
+
+
+def integer_units(values):
+    """``(units, L)``: L is :func:`denominator_lcm` of the exact ``values``, units their ints times L."""
+    L = denominator_lcm(values)
+    return [v.numerator * (L // v.denominator) for v in values], L

@@ -10,6 +10,7 @@ and to a fixed-schema CSV of residuals.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -500,6 +501,9 @@ def _campaign_report(name, space, seed, trials, tol, mode, run):
         raise DomainError("trial count must be at least 1")
     if not tol > 0:
         raise DomainError("tolerance must be positive")
+    if not math.isfinite(tol):
+        # a failed trial's residual is _FAIL = inf, and inf <= inf would pass it
+        raise DomainError(f"tolerance must be finite, got {tol!r}")
     start = time.perf_counter()
     records = run()
     elapsed = time.perf_counter() - start

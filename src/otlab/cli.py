@@ -23,6 +23,7 @@ failure, 2 usage or parse error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,6 +89,9 @@ class RunConfig:
             raise DomainError("a product space needs both alpha and q")
         if not self.tol > 0:
             raise DomainError("tol must be positive")
+        if not math.isfinite(self.tol):
+            # an infinite tol would pass every trial, even one that raised
+            raise DomainError(f"tol must be finite, got {self.tol!r}")
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.dim < 1:

@@ -208,7 +208,7 @@ def flip(mu):
     ts = [p.t for p, _ in mu.atoms]
     masses = [m for _, m in mu.atoms]
     # the ends of a float measure are floats too, so its costs stay all-float;
-    # the t's count as well, since disintegrate turns an exact mass 1 into 1.0
+    # a measure with any exact t or mass keeps int ends
     zero, one = (0.0, 1.0) if all(isinstance(v, float) for v in ts + masses) else (0, 1)
     atoms = []
     if ts[0] != 0:

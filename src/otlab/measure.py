@@ -9,6 +9,7 @@ strictly positive, and float masses below 1e-15 are rejected outright
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DomainError,
@@ -240,7 +241,11 @@ def disintegrate(mu):
     for x, fiber_atoms in by_base.items():
         weight = _total(fiber_atoms)
         marginal_atoms.append((x, weight))
-        cond_atoms = tuple((IntervalPoint(t), m / weight) for t, m in fiber_atoms)
+        # an exact weight sums exact masses only; int / int would make a float
+        cond_atoms = tuple(
+            (IntervalPoint(t), Fraction(m, weight) if is_exact(weight) else m / weight)
+            for t, m in fiber_atoms
+        )
         conditionals.append((x, DiscreteMeasure(_FIBER, cond_atoms)))
     conditionals.sort(key=lambda item: point_sort_key(item[0]))
     marginal = DiscreteMeasure(mu.space.base, tuple(marginal_atoms))

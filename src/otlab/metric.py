@@ -16,6 +16,8 @@ can be compared without ever taking roots in exact mode.
 Every space kind also builds the whole m x n matrix of powered distances
 between two point lists with ``cost_matrix``; on float coordinates it
 broadcasts in numpy, cell for cell bit-identical to ``powered_distance``.
+When every cell is exact, ``_unit_costs`` builds the same matrix in integer
+units straight from the coordinates, for the solver's exact path.
 """
 
 from __future__ import annotations
@@ -29,7 +31,17 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, InvalidSpaceError, ParseError, SpaceMismatchError
-from ._numbers import DEFAULT_TOL, format_number, is_exact, parse_number, powered_abs, root
+from ._numbers import (
+    DEFAULT_TOL,
+    all_exact,
+    denominator_lcm,
+    format_number,
+    integer_units,
+    is_exact,
+    parse_number,
+    powered_abs,
+    root,
+)
 
 __all__ = [
     "IntervalPoint",
@@ -158,6 +170,33 @@ def _root_cells(values, q):
 
 
 # ---------------------------------------------------------------------------
+# exact cost matrices in integer units
+#
+# ``_unit_costs(rows, cols, p)`` of every space kind returns (C, S), a list of
+# lists of ints with C[i][k] / S == powered_distance(rows[i], cols[k], p), or
+# None when some cell of that matrix is not an int or a Fraction. Coordinates
+# are scaled once by the lcm of their denominators, so no Fraction is made per
+# cell. An exponent is integral by the rule of ``powered_abs``.
+
+
+def _integral(exponent):
+    """``exponent`` as an int when it equals one, else None."""
+    return int(exponent) if exponent == int(exponent) else None
+
+
+def _delta_units(ys, zs, exponent):
+    """``powered_abs(y - z, exponent)`` over ys x zs in integer units, or None."""
+    e = _integral(exponent)
+    if e is None or not all_exact(ys + zs):
+        return None
+    units, L = integer_units(ys + zs)
+    rows, cols = units[: len(ys)], units[len(ys) :]
+    if e == 1:
+        return [[abs(y - z) for z in cols] for y in rows], L
+    return [[abs(y - z) ** e for z in cols] for y in rows], L**e
+
+
+# ---------------------------------------------------------------------------
 # spaces
 
 
@@ -211,6 +250,9 @@ class Interval(_CostMatrix):
 
     def _float_costs(self, rows, cols, p):
         return _t_costs(rows, cols, _mul_exponents(self.alpha, p))
+
+    def _unit_costs(self, rows, cols, p):
+        return _delta_units([y.t for y in rows], [z.t for z in cols], _mul_exponents(self.alpha, p))
 
     def describe(self):
         return f"interval:alpha={format_number(self.alpha)}"
@@ -271,6 +313,24 @@ class Euclidean(_CostMatrix):
             d = ys[:, None, k] - zs[None, :, k]
             sq = d * d if sq is None else sq + d * d
         return _power_cells(sq, float(p) / 2.0)
+
+    def _unit_costs(self, rows, cols, p):
+        if self.dim == 1:
+            return _delta_units([y.coords[0] for y in rows], [z.coords[0] for z in cols], p)
+        # a squared norm is exact, and raised to p / 2 only at an even p
+        e = _integral(p)
+        coords = [c for y in rows for c in y.coords] + [c for z in cols for c in z.coords]
+        if e is None or e % 2 or not all_exact(coords):
+            return None
+        units, L = integer_units(coords)
+        dim = self.dim
+        points = [units[k : k + dim] for k in range(0, len(units), dim)]
+        half = e // 2
+        costs = [
+            [sum((a - b) * (a - b) for a, b in zip(y, z)) ** half for z in points[len(rows) :]]
+            for y in points[: len(rows)]
+        ]
+        return costs, L**e
 
     def describe(self):
         return f"euclidean:dim={self.dim}"
@@ -359,6 +419,32 @@ class Finite(_CostMatrix):
         c = np.array([z.index for z in cols], dtype=np.intp)
         return _power_cells(np.abs(matrix[np.ix_(r, c)]), p)
 
+    @cached_property
+    def _unit_matrix(self):
+        """(M, L): every exact entry times L, the lcm of their denominators, and None for a float."""
+        L = denominator_lcm([v for row in self.matrix for v in row if is_exact(v)])
+        units = [
+            [v.numerator * (L // v.denominator) if is_exact(v) else None for v in row]
+            for row in self.matrix
+        ]
+        return units, L
+
+    def _unit_costs(self, rows, cols, p):
+        # a mixed matrix can have all-exact blocks, so only the selected cells count
+        e = _integral(p)
+        if e is None:
+            return None
+        matrix, L = self._unit_matrix
+        picks = [z.index for z in cols]
+        costs = []
+        for y in rows:
+            row = matrix[y.index]
+            cells = [row[k] for k in picks]
+            if None in cells:
+                return None
+            costs.append(cells if e == 1 else [c**e for c in cells])
+        return costs, L**e
+
     def describe(self):
         return f"finite:n={self.size}"
 
@@ -405,6 +491,28 @@ class Product(_CostMatrix):
         if costs is None:
             return None
         return _power_cells(np.abs(_root_cells(costs, self.q)), p)
+
+    def _unit_costs(self, rows, cols, p):
+        if p == self.q:
+            fiber = _delta_units(
+                [y.t for y in rows], [z.t for z in cols], _mul_exponents(self.alpha, self.q)
+            )
+            if fiber is None:
+                return None
+            base = self.base._unit_costs([y.x for y in rows], [z.x for z in cols], self.q)
+            if base is None:
+                return None
+            (F, fs), (B, bs) = fiber, base
+            scale = math.lcm(fs, bs)
+            kf, kb = scale // fs, scale // bs
+            return [[f * kf + b * kb for f, b in zip(fr, br)] for fr, br in zip(F, B)], scale
+        # the q-th root of an exact cost stays exact only at q == 1
+        e = _integral(p)
+        units = None if self.q != 1 or e is None else self._unit_costs(rows, cols, self.q)
+        if units is None:
+            return None
+        costs, scale = units
+        return [[c**e for c in row] for row in costs], scale**e
 
     def distance(self, a, b):
         return root(self.powered_distance(a, b, self.q), self.q)

@@ -12,10 +12,13 @@ cycling on degenerate pivots. The spanning-tree basis is kept as parent,
 depth and adjacency arrays over the m + n row and column nodes, rooted at
 row 0: a pivot finds its cycle by walking up from both ends of the entering
 cell, and recomputes potentials only on the subtree it re-hangs. Exact
-inputs (int/Fraction masses and costs) are recognized automatically; masses
-are scaled by the lcm of their denominators and costs by the lcm of theirs,
-so the pivots and the certificate run on Python ints and the results become
-Fractions once, at the end.
+inputs (int/Fraction masses and costs) are recognized automatically: masses
+are scaled by the lcm of their denominators, and the space builds the costs
+in integer units straight from the coordinates, so the pivots and the
+certificate run on Python ints and the results become Fractions once, at
+the end. Scaling every cost by one positive integer scales every reduced
+cost by it too, so no pricing comparison, and no pivot, depends on the
+scale.
 
 The optimal cost is unique, so exact ``powered_cost``, ``cost`` and
 ``certified`` do not depend on the pivot rule. The pivot count does, and so
@@ -38,7 +41,7 @@ from .errors import (
     SolverStallError,
     SpaceMismatchError,
 )
-from ._numbers import DEFAULT_TOL, all_exact, format_number, denominator_lcm, root
+from ._numbers import DEFAULT_TOL, all_exact, format_number, integer_units, root
 from .measure import _point_tokens
 
 __all__ = [
@@ -409,9 +412,13 @@ def _certify(a, b, cost, flows, u, v, m, n, exact, tol):
 def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
-    The m x n cost matrix comes from the space's ``cost_matrix``: broadcast
-    in numpy when every coordinate is a float, bit-identical to
-    ``powered_distance`` cell by cell, and built cell by cell otherwise.
+    With int/Fraction masses and every cost d**p exact, the space builds the
+    m x n costs in integer units from the coordinates (``_unit_costs``), and
+    the potentials are re-derived from ``powered_distance`` on the m + n - 1
+    cells of the final tree only. Any other input takes the space's
+    ``cost_matrix``: broadcast in numpy when every coordinate is a float,
+    bit-identical to ``powered_distance`` cell by cell, and built cell by
+    cell otherwise.
     Runs the transportation simplex from the northwest-corner plan, with
     block-search pricing on strongly feasible trees. The pivot budget
     defaults to 10 * m * n; exhausting it raises :class:`SolverStallError`
@@ -429,21 +436,19 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
-    # the measures validated their points and p is checked above
-    cost = space.cost_matrix(rows, cols, p)
     a = list(mu.masses)
     b = list(nu.masses)
-    exact = all_exact(a) and all_exact(b) and all_exact(c for r in cost for c in r)
+    # the measures validated their points and p is checked above
+    units = space._unit_costs(rows, cols, p) if all_exact(a) and all_exact(b) else None
+    exact = units is not None
     budget = 10 * m * n if pivot_budget is None else pivot_budget
 
     if exact:
         # pivot and certify on integers: masses times L and costs times Lc,
         # so flow-times-cost sums are in units of 1 / (L * Lc)
-        L = denominator_lcm(a + b)
-        Lc = denominator_lcm(c for r in cost for c in r)
-        a_units = [int(x * L) for x in a]
-        b_units = [int(x * L) for x in b]
-        cost_units = [[int(c * Lc) for c in r] for r in cost]
+        cost_units, Lc = units
+        mass_units, L = integer_units(a + b)
+        a_units, b_units = mass_units[:m], mass_units[m:]
         flows_units, pivots, u_units, v_units, adj = _transport_simplex(
             a_units, b_units, cost_units, m, n, L * Lc, budget
         )
@@ -455,12 +460,17 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
             cell: Fraction(f, L) if f % L else Fraction(f // L)
             for cell, f in flows_units.items()
         }
-        # the reported potentials come from the given costs along the final
-        # tree, so each is an int or a Fraction just as that path makes it
+        # the reported potentials come from the space's powered distances on
+        # the final tree, so each is an int or a Fraction just as that path
+        # makes it
+        tree = [{} for _ in range(m)]
+        for i, j in flows_units:
+            tree[i][j] = space.powered_distance(rows[i], cols[j], p)
         u = [0] * m
         v = [0] * n
-        _hang(0, adj, [-1] * (m + n), [0] * (m + n), u, v, cost, m)
+        _hang(0, adj, [-1] * (m + n), [0] * (m + n), u, v, tree, m)
     else:
+        cost = space.cost_matrix(rows, cols, p)
         flows, pivots, u, v, _adj = _transport_simplex(a, b, cost, m, n, None, budget)
         certified = _certify(a, b, cost, flows, u, v, m, n, False, tol)
         powered = _flow_cost(flows, cost)
@@ -513,21 +523,41 @@ def _union_support(mu, nu):
 
 
 def _kr_witness(mu, nu, result):
-    """1-Lipschitz witness f(z) = min_j (d(z, y_j) - u_j) from a solved p = 1 ``result``."""
+    """1-Lipschitz witness f(z) = min_j (d(z, y_j) - u_j) from a solved p = 1 ``result``.
+
+    On an exact result the c-transform runs in integers: the distances come
+    from the space's integer units at p = 1 over supp(mu) | supp(nu) x
+    supp(mu), and the potentials are scaled to their common unit with them.
+    A float result, or a space whose units are not exact there, takes
+    ``space.distance`` cell by cell: a float ``Euclidean`` distance at dim
+    >= 2 is ``math.sqrt``, which can differ from the p = 1 cost in the last
+    digit.
+    """
     space = mu.space
     u = result.dual_potentials[0]
     rows = mu.support
     points = _union_support(mu, nu)
     mu_masses = mu.as_dict()
     nu_masses = nu.as_dict()
-    values = []
-    for z in points:
-        best = None
-        for j, y in enumerate(rows):
-            cand = space.distance(z, y) - u[j]
-            if best is None or cand < best:
-                best = cand
-        values.append(best)
+    units = space._unit_costs(points, rows, 1) if result.arithmetic == "exact" else None
+    if units is None:
+        values = []
+        for z in points:
+            best = None
+            for j, y in enumerate(rows):
+                cand = space.distance(z, y) - u[j]
+                if best is None or cand < best:
+                    best = cand
+            values.append(best)
+    else:
+        costs, scale = units
+        u_units, Lu = integer_units(u)
+        L = math.lcm(scale, Lu)
+        k = L // scale
+        u_units = [x * (L // Lu) for x in u_units]
+        values = [
+            Fraction(min(c * k - uj for c, uj in zip(row, u_units)), L) for row in costs
+        ]
     value = 0
     for z, f in zip(points, values):
         value = value + f * (nu_masses.get(z, 0) - mu_masses.get(z, 0))

@@ -86,6 +86,11 @@ class TestRunSuite:
         with pytest.raises(DomainError):
             run_suite("metric-axioms", tol=0)
 
+    def test_infinite_tolerance_is_rejected(self):
+        # a failed trial's residual is inf, and inf <= inf would pass it
+        with pytest.raises(DomainError, match="finite"):
+            run_suite("fiber-flip-isometry", trials=3, tol=float("inf"))
+
 
 class TestRunScenario:
     def test_scenario_runs_both_flexibility_suites(self):

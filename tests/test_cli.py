@@ -3,6 +3,7 @@
 import pytest
 
 import otlab.cli
+import otlab.metric
 import otlab.solver
 from otlab.cli import (
     EXIT_INVARIANT,
@@ -97,6 +98,37 @@ class TestDist:
         values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
         assert values["dual_value"] == values["distance"]
         assert len(calls) == 1
+
+    def test_exact_order_one_costs_only_the_final_tree(self, capsys, tmp_path, monkeypatch):
+        # the exact solve and its witness work in integer units: the space is
+        # asked for distances only on the m + n - 1 cells of the final tree
+        counts = {}
+        for cls in (otlab.metric.Product, otlab.metric.Interval):
+            for name in ("distance", "powered_distance"):
+                method = getattr(cls, name)
+
+                def counted(self, *args, _key=(cls.__name__, name), _method=method):
+                    counts[_key] = counts.get(_key, 0) + 1
+                    return _method(self, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("space product\n1/2 1/5 1/2\n1/4 3/5 1/10\n1/4 1 0\n")
+        b.write_text("space product\n1/3 4/5 1/2\n1/3 1/5 1/2\n1/3 0 9/10\n")
+        code, out = run(
+            capsys,
+            "dist", str(a), str(b),
+            "--space", "product", "--base", "interval",
+            "--alpha", "1", "--q", "1", "--mode", "rational", "--order", "1",
+        )
+        assert code == EXIT_PASS
+        values = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert values["dual_value"] == values["distance"]
+        assert counts.get(("Product", "distance"), 0) == 0
+        assert counts.get(("Interval", "distance"), 0) == 0
+        assert 0 < counts[("Product", "powered_distance")] <= 3 + 3 - 1
+        assert counts[("Interval", "powered_distance")] <= 3 + 3 - 1
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         ghost = str(tmp_path / "ghost.txt")
@@ -230,6 +262,23 @@ class TestConfigFile:
         code = entry(["verify", "flip-isometry", "--config", str(cfg)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == "otlab: tol must be a number, got 'abc'\n"
+
+
+class TestTolerance:
+    # a failed trial's residual is infinite, so an infinite tol would pass it
+    def test_infinite_tol_flag_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = entry(["verify", "fiber-flip-isometry", "--trials", "3", "--tol", "inf"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "otlab: tol must be finite, got inf\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_infinite_tol_in_a_config_file_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "inf.txt"
+        cfg.write_text("tol = inf\n")
+        code = entry(["verify", "fiber-flip-isometry", "--trials", "3", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "otlab: tol must be finite, got inf\n"
 
 
 # every option, with two valid values for it

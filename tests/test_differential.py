@@ -17,6 +17,8 @@ from otlab import (
     DiscreteMeasure,
     Euclidean,
     EuclideanPoint,
+    Finite,
+    FinitePoint,
     Interval,
     IntervalPoint,
     Product,
@@ -72,6 +74,59 @@ def test_interval_squared_cost_matches_enumeration(mu, nu):
 @given(measures(CITY_BLOCK, CITY_BLOCK_POINT), measures(CITY_BLOCK, CITY_BLOCK_POINT))
 def test_city_block_cost_matches_enumeration(mu, nu):
     assert_matches_enumeration(mu, nu, 1)
+
+
+def assert_exact_matches_enumeration(mu, nu, p):
+    """The solve ran on exact integer-unit costs, and matches the enumeration."""
+    assert solve_wasserstein(mu, nu, p=p).arithmetic == "exact"
+    assert_matches_enumeration(mu, nu, p)
+
+
+PLANE = Euclidean(2)
+PLANE_FRACTION_POINT = st.builds(EuclideanPoint, st.tuples(COORD, COORD))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(measures(PLANE, PLANE_FRACTION_POINT), measures(PLANE, PLANE_FRACTION_POINT))
+def test_plane_squared_cost_matches_enumeration(mu, nu):
+    assert_exact_matches_enumeration(mu, nu, 2)
+
+
+# shortest paths on a weighted tree: 0 - 1 - 2 - 3 with leaves 4 on 1 and 5 on 2
+_EDGES = {(0, 1): Fraction(1, 3), (1, 2): Fraction(3, 4), (2, 3): Fraction(2, 5),
+          (1, 4): Fraction(5, 6), (2, 5): Fraction(1, 7)}
+_PATHS = {0: (), 1: ((0, 1),), 2: ((0, 1), (1, 2)), 3: ((0, 1), (1, 2), (2, 3)),
+          4: ((0, 1), (1, 4)), 5: ((0, 1), (1, 2), (2, 5))}
+FRACTION_TREE = Finite(
+    tuple(
+        tuple(sum((_EDGES[e] for e in set(_PATHS[i]) ^ set(_PATHS[j])), Fraction(0)) for j in range(6))
+        for i in range(6)
+    )
+)
+TREE_POINT = st.builds(FinitePoint, st.integers(0, 5))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    measures(FRACTION_TREE, TREE_POINT),
+    measures(FRACTION_TREE, TREE_POINT),
+    st.sampled_from((1, 2)),
+)
+def test_fraction_tree_cost_matches_enumeration(mu, nu, p):
+    assert_exact_matches_enumeration(mu, nu, p)
+
+
+# p = 2 over q = 1: the square of an exact city-block distance
+CITY_LINE = Product(1, 1, Euclidean(1))
+CITY_LINE_POINT = st.builds(
+    ProductPoint, COORD, st.builds(EuclideanPoint, st.tuples(COORD.map(lambda x: 2 * x - 1)))
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(measures(CITY_LINE, CITY_LINE_POINT), measures(CITY_LINE, CITY_LINE_POINT))
+def test_city_line_squared_cost_matches_enumeration(mu, nu):
+    assert_exact_matches_enumeration(mu, nu, 2)
 
 
 UNIT = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)

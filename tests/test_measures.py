@@ -95,6 +95,35 @@ def test_disintegrate_reassemble_round_trip(city_block_square):
     assert reassemble(dis).atoms == mu.atoms
 
 
+def test_conditionals_of_exact_measures_are_exact(city_block_square):
+    third = Fraction(1, 3)
+    dirac = DiscreteMeasure(city_block_square, ((ProductPoint(half(), IntervalPoint(third)), 1),))
+    shared = DiscreteMeasure(
+        city_block_square,
+        (
+            (ProductPoint(0, IntervalPoint(third)), Fraction(1, 6)),
+            (ProductPoint(1, IntervalPoint(third)), Fraction(1, 3)),
+            (ProductPoint(half(), IntervalPoint(1)), half()),
+        ),
+    )
+    for mu in (dirac, shared):
+        dis = disintegrate(mu)
+        masses = [m for _, cond in dis.conditionals for m in cond.masses]
+        assert all(isinstance(m, (int, Fraction)) for m in masses), masses
+        assert reassemble(dis).atoms == mu.atoms
+    assert dict(disintegrate(shared).conditionals)[IntervalPoint(third)].masses == (third, 2 * third)
+    floats = DiscreteMeasure(
+        city_block_square,
+        (
+            (ProductPoint(0.5, IntervalPoint(0.25)), 0.25),
+            (ProductPoint(0.75, IntervalPoint(0.25)), 0.75),
+        ),
+    )
+    dis = disintegrate(floats)
+    assert [type(m) for _, cond in dis.conditionals for m in cond.masses] == [float, float]
+    assert reassemble(dis).atoms == floats.atoms
+
+
 def test_meet_and_residuals(unit_interval):
     a = IntervalPoint(Fraction(0))
     b = IntervalPoint(half())

@@ -29,6 +29,8 @@ from otlab import (
     validate_coupling,
 )
 
+from otlab.solver import _kr_witness
+
 from oracles import exhaustive_min_cost, linprog_transport_cost
 
 
@@ -346,3 +348,67 @@ def test_arithmetic_says_how_the_solve_ran():
     floats = DiscreteMeasure(city, ((ProductPoint(0.5, IntervalPoint(1.0)), 1.0),))
     assert solve_wasserstein(mu, floats, p=1).arithmetic == "float"
     assert "arithmetic" not in result_record(result)
+
+
+def _c_transform(mu, nu, u):
+    """f(z) = min_j (d(z, y_j) - u_j) over supp(mu) | supp(nu), and its dual value."""
+    space = mu.space
+    points = list(mu.support) + [z for z in nu.support if z not in mu.support]
+    values = [min(space.distance(z, y) - uj for y, uj in zip(mu.support, u)) for z in points]
+    value = sum(f * (nu.mass_of(z) - mu.mass_of(z)) for z, f in zip(points, values))
+    return points, values, value
+
+
+def _shared_measures(rng, space, candidates):
+    """Two exact measures on overlapping random subsets of ``candidates``."""
+    picks = []
+    for _ in range(2):
+        size = int(rng.integers(1, len(candidates) + 1))
+        chosen = rng.choice(len(candidates), size=size, replace=False)
+        weights = [int(w) for w in rng.integers(1, 6, size=size)]
+        picks.append(
+            DiscreteMeasure(
+                space,
+                tuple((candidates[int(c)], Fraction(w, sum(weights))) for c, w in zip(chosen, weights)),
+            )
+        )
+    return picks
+
+
+def test_exact_kr_witness_is_the_c_transform_of_the_potentials():
+    third = Fraction(1, 3)
+    line = [Fraction(k, 6) for k in range(6)]
+    finite = Finite(tuple(tuple(abs(a - b) for b in line) for a in line))
+    cases = {
+        "finite": (finite, [FinitePoint(k) for k in range(6)]),
+        "interval": (Interval(1), [IntervalPoint(t) for t in line]),
+        "E1": (Euclidean(1), [EuclideanPoint((3 * t - 1,)) for t in line]),
+        "product-interval": (
+            Product(1, 1, Interval(1)),
+            [ProductPoint(t, IntervalPoint(x)) for t in (0, third) for x in line[:3]],
+        ),
+        "product-E1": (
+            Product(1, 1, Euclidean(1)),
+            [ProductPoint(t, EuclideanPoint((x,))) for t in (third, 1) for x in (-2, 0, third)],
+        ),
+        "product-finite": (
+            Product(1, 1, finite),
+            [ProductPoint(t, FinitePoint(k)) for t in (0, third) for k in (1, 3, 4)],
+        ),
+    }
+    rng = make_rng(83)
+    shared = 0
+    for name, (space, candidates) in cases.items():
+        for _ in range(8):
+            mu, nu = _shared_measures(rng, space, candidates)
+            shared += len(set(mu.support) & set(nu.support))
+            result = solve_wasserstein(mu, nu, p=1)
+            assert result.arithmetic == "exact", name
+            witness = _kr_witness(mu, nu, result)
+            points, values, value = _c_transform(mu, nu, result.dual_potentials[0])
+            assert [z for z, _ in witness.assignments] == points
+            assert [f for _, f in witness.assignments] == values, name
+            assert all(isinstance(f, (int, Fraction)) for f in values)
+            assert witness.value == value == result.powered_cost, name
+            assert kr_dual(mu, nu).value == value
+    assert shared > 0
