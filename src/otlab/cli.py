@@ -23,6 +23,7 @@ failure, 2 usage or parse error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -252,7 +253,11 @@ def _point_label(tokens):
 
 
 def cmd_dist(cfg, mu_path, nu_path, out=None):
-    """Solve between two measure files and print the full solve output."""
+    """Solve between two measure files and print the full solve output.
+
+    In rational mode a solve whose costs are not exact runs in float; a note
+    on stderr says so.
+    """
     out = sys.stdout if out is None else out
     space = build_space(cfg)
     mu, mu_id = load_measure(mu_path, space, exact=cfg.exact)
@@ -268,23 +273,24 @@ def cmd_dist(cfg, mu_path, nu_path, out=None):
     print(f"pivots = {result.pivots}", file=out)
     print("coupling:", file=out)
     plan = result.coupling
-    for j, row_point in enumerate(plan.row_points):
-        for k, col_point in enumerate(plan.col_points):
-            w = plan.weights[j][k]
-            if w == 0:
-                continue
-            src = _point_label(_point_tokens(row_point))
-            dst = _point_label(_point_tokens(col_point))
-            print(f"  {format_number(w)} : {src} -> {dst}", file=out)
+    rows = [_point_label(_point_tokens(y)) for y in plan.row_points]
+    cols = [_point_label(_point_tokens(z)) for z in plan.col_points]
+    for j, k, w in plan.cells():
+        print(f"  {format_number(w)} : {rows[j]} -> {cols[k]}", file=out)
     u, v = result.dual_potentials
     print("potentials:", file=out)
-    for j, row_point in enumerate(plan.row_points):
-        print(f"  u {_point_label(_point_tokens(row_point))} = {format_number(u[j])}", file=out)
-    for k, col_point in enumerate(plan.col_points):
-        print(f"  v {_point_label(_point_tokens(col_point))} = {format_number(v[k])}", file=out)
+    for label, value in zip(rows, u):
+        print(f"  u {label} = {format_number(value)}", file=out)
+    for label, value in zip(cols, v):
+        print(f"  v {label} = {format_number(value)}", file=out)
     if cfg.order == 1:
         witness = _kr_witness(mu, nu, result)
         print(f"dual_value = {format_number(witness.value)}", file=out)
+    if cfg.exact and result.arithmetic == "float":
+        print(
+            "otlab: note: this solve ran in float arithmetic (costs d**p are not exact here)",
+            file=sys.stderr,
+        )
     return EXIT_PASS
 
 
@@ -374,7 +380,9 @@ def _add_common(parser, trailing):
         parser.add_argument(f"--{key}", **flag, **kw)
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="otlab",
         description="exact discrete optimal transport: distances, transforms, invariant campaigns",

@@ -349,7 +349,9 @@ def _validate_finite_matrix(matrix):
         if matrix[i][i] != 0:
             raise InvalidSpaceError(f"nonzero diagonal entry at ({i}, {i})")
         for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
+            # an exact entry facing a float one would make a solve's arithmetic
+            # depend on its direction
+            if matrix[i][j] != matrix[j][i] or is_exact(matrix[i][j]) != is_exact(matrix[j][i]):
                 raise InvalidSpaceError(f"asymmetric entries at ({i}, {j})")
             if not matrix[i][j] > 0:
                 raise InvalidSpaceError(f"off-diagonal entry at ({i}, {j}) must be positive")

@@ -515,11 +515,9 @@ class DualPotential:
 
 
 def _union_support(mu, nu):
-    points = list(mu.support)
-    for q in nu.support:
-        if q not in points:
-            points.append(q)
-    return points
+    # points are frozen dataclasses and equal numbers hash equal, so a point of
+    # nu equal to one of mu (Fraction(1, 2) and 0.5 alike) keeps mu's form
+    return list(dict.fromkeys(mu.support + nu.support))
 
 
 def _kr_witness(mu, nu, result):

@@ -20,6 +20,101 @@ from otlab.errors import ParseError
 from otlab.campaign import CampaignReport, TrialRecord
 
 
+# two overlapping 6-atom measures on Product(1, 1, Interval(1)) and the exact
+# stdout of `otlab dist --order 1` on them, recorded from the code before the
+# dist path was sped up; an exact solve writes nothing to stderr
+PINNED_MU = (
+    "space product\n"
+    "1/6 0 0\n"
+    "1/4 1/5 1/2\n"
+    "1/12 1/3 1\n"
+    "1/6 1/2 1/4\n"
+    "1/6 3/4 0.3\n"
+    "1/6 1 2/3\n"
+)
+PINNED_NU = (
+    "space product\n"
+    "1/5 0 1\n"
+    "1/10 1/4 0\n"
+    "3/10 1/2 1/4\n"
+    "1/10 0.6 0.9\n"
+    "1/5 1 2/3\n"
+    "1/10 1 0\n"
+)
+PINNED_ARGS = ("--space", "product", "--base", "interval", "--alpha", "1", "--q", "1", "--order", "1")
+PINNED_STDOUT = {
+    "rational": (
+        "space = product:alpha=1:q=1:interval:alpha=1\n"
+        "order = 1\n"
+        "powered_cost = 653/1800\n"
+        "distance = 653/1800\n"
+        "certified = True\n"
+        "pivots = 5\n"
+        "coupling:\n"
+        "  1/10 : (0, 0) -> (1/4, 0)\n"
+        "  1/15 : (0, 0) -> (1/2, 1/4)\n"
+        "  1/5 : (1/5, 1/2) -> (0, 1)\n"
+        "  1/30 : (1/5, 1/2) -> (1/2, 1/4)\n"
+        "  1/60 : (1/5, 1/2) -> (3/5, 9/10)\n"
+        "  1/12 : (1/3, 1) -> (3/5, 9/10)\n"
+        "  1/6 : (1/2, 1/4) -> (1/2, 1/4)\n"
+        "  1/30 : (3/4, 3/10) -> (1/2, 1/4)\n"
+        "  1/10 : (3/4, 3/10) -> (1, 0)\n"
+        "  1/30 : (3/4, 3/10) -> (1, 2/3)\n"
+        "  1/6 : (1, 2/3) -> (1, 2/3)\n"
+        "potentials:\n"
+        "  u (0, 0) = 0\n"
+        "  u (1/5, 1/2) = -1/5\n"
+        "  u (1/3, 1) = -19/30\n"
+        "  u (1/2, 1/4) = -3/4\n"
+        "  u (3/4, 3/10) = -9/20\n"
+        "  u (1, 2/3) = -16/15\n"
+        "  v (0, 1) = 9/10\n"
+        "  v (1/4, 0) = 1/4\n"
+        "  v (1/2, 1/4) = 3/4\n"
+        "  v (3/5, 9/10) = 1\n"
+        "  v (1, 0) = 1\n"
+        "  v (1, 2/3) = 16/15\n"
+        "dual_value = 653/1800\n"
+    ),
+    "float": (
+        "space = product:alpha=1:q=1:interval:alpha=1\n"
+        "order = 1\n"
+        "powered_cost = 0.3627777777777778\n"
+        "distance = 0.3627777777777778\n"
+        "certified = True\n"
+        "pivots = 5\n"
+        "coupling:\n"
+        "  0.1 : (0, 0) -> (0.25, 0)\n"
+        "  0.06666666666666665 : (0, 0) -> (0.5, 0.25)\n"
+        "  0.2 : (0.2, 0.5) -> (0, 1)\n"
+        "  0.03333333333333331 : (0.2, 0.5) -> (0.5, 0.25)\n"
+        "  0.016666666666666677 : (0.2, 0.5) -> (0.6, 0.9)\n"
+        "  0.08333333333333333 : (0.3333333333333333, 1) -> (0.6, 0.9)\n"
+        "  0.16666666666666666 : (0.5, 0.25) -> (0.5, 0.25)\n"
+        "  0.03333333333333337 : (0.75, 0.3) -> (0.5, 0.25)\n"
+        "  0.1 : (0.75, 0.3) -> (1, 0)\n"
+        "  0.0333333333333333 : (0.75, 0.3) -> (1, 0.6666666666666666)\n"
+        "  0.16666666666666666 : (1, 0.6666666666666666) -> (1, 0.6666666666666666)\n"
+        "potentials:\n"
+        "  u (0, 0) = 0\n"
+        "  u (0.2, 0.5) = -0.19999999999999996\n"
+        "  u (0.3333333333333333, 1) = -0.6333333333333333\n"
+        "  u (0.5, 0.25) = -0.75\n"
+        "  u (0.75, 0.3) = -0.45\n"
+        "  u (1, 0.6666666666666666) = -1.0666666666666667\n"
+        "  v (0, 1) = 0.8999999999999999\n"
+        "  v (0.25, 0) = 0.25\n"
+        "  v (0.5, 0.25) = 0.75\n"
+        "  v (0.6, 0.9) = 1\n"
+        "  v (1, 0) = 1\n"
+        "  v (1, 0.6666666666666666) = 1.0666666666666667\n"
+        "dual_value = 0.36277777777777787\n"
+    ),
+}
+FLOAT_NOTE = "otlab: note: this solve ran in float arithmetic (costs d**p are not exact here)\n"
+
+
 def run(capsys, *argv):
     code = entry(list(argv))
     captured = capsys.readouterr()
@@ -32,6 +127,15 @@ def interval_files(tmp_path):
     b = tmp_path / "b.txt"
     a.write_text("space interval\n1 0\n")
     b.write_text("space interval\n1 1\n")
+    return str(a), str(b)
+
+
+@pytest.fixture
+def pinned_files(tmp_path):
+    a = tmp_path / "mu.txt"
+    b = tmp_path / "nu.txt"
+    a.write_text(PINNED_MU)
+    b.write_text(PINNED_NU)
     return str(a), str(b)
 
 
@@ -130,10 +234,73 @@ class TestDist:
         assert 0 < counts[("Product", "powered_distance")] <= 3 + 3 - 1
         assert counts[("Interval", "powered_distance")] <= 3 + 3 - 1
 
+    @pytest.mark.parametrize("mode", sorted(PINNED_STDOUT))
+    def test_stdout_bytes_are_pinned(self, capsys, pinned_files, mode):
+        code = entry(["dist", *pinned_files, *PINNED_ARGS, "--mode", mode])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (EXIT_PASS, "")
+        assert captured.out == PINNED_STDOUT[mode]
+
+    def test_rational_solve_in_float_says_so_on_stderr(self, capsys, pinned_files):
+        # q = 2 with p = 1 takes a square root, so the costs are not exact
+        argv = ["dist", *pinned_files, "--space", "product", "--base", "interval", "--order", "1"]
+        code = entry([*argv, "--mode", "rational"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PASS
+        assert captured.err == FLOAT_NOTE
+        values = dict(line.split(" = ") for line in captured.out.splitlines() if " = " in line)
+        assert "/" not in values["distance"]
+        assert values["certified"] == "True"
+        assert entry([*argv, "--mode", "float"]) == EXIT_PASS
+        assert capsys.readouterr().err == ""
+
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         ghost = str(tmp_path / "ghost.txt")
         code, _ = run(capsys, "dist", ghost, ghost)
         assert code == EXIT_USAGE
+
+
+class TestParserReuse:
+    """``entry`` builds its parser once per process; a reused one keeps no state."""
+
+    def calls(self, tmp_path, pinned_files):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = rational\ntrials = 2\nseed = 3\n")
+        report, csv = str(tmp_path / "r.txt"), str(tmp_path / "r.csv")
+        return (
+            ("dist", pinned_files[0]),
+            ("--help",),
+            ("dist", *pinned_files, *PINNED_ARGS[:2], "--mode", "rational", "--order", "2"),
+            ("dist", *pinned_files, *PINNED_ARGS[:4]),
+            ("verify", "duality-gap", "--config", str(cfg), "--report", report, "--csv", csv),
+            ("verify", "no-such-suite"),
+        )
+
+    def outcome(self, capsys, argv):
+        code = entry(list(argv))
+        captured = capsys.readouterr()
+        out = [line for line in captured.out.splitlines() if not line.startswith("wall_time_s")]
+        return code, out, captured.err
+
+    def test_a_reused_parser_answers_like_a_fresh_one(self, capsys, tmp_path, pinned_files):
+        calls = self.calls(tmp_path, pinned_files)
+        _build_parser.cache_clear()
+        reused = [self.outcome(capsys, argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        assert reused == fresh
+        codes = [EXIT_USAGE, EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_PASS, EXIT_USAGE]
+        assert [code for code, _, _ in reused] == codes
+        assert all(err.startswith("usage: otlab") for _, _, err in (reused[0], reused[-1]))
+
+    def test_the_parser_is_built_once(self, capsys, tmp_path, pinned_files):
+        _build_parser.cache_clear()
+        for argv in self.calls(tmp_path, pinned_files) * 2:
+            entry(list(argv))
+        capsys.readouterr()
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestTransform:

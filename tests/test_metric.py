@@ -189,6 +189,15 @@ def test_finite_space_rejects_asymmetry(tmp_path):
         load_finite_space(str(path))
 
 
+def test_finite_space_rejects_an_exact_entry_facing_a_float():
+    # equal in value, but a solve would run exact one way and in float the other
+    for matrix in (((0, 1), (1.0, 0)), ((0, 1.0), (1, 0)), ((0, Fraction(1, 2)), (0.5, 0))):
+        with pytest.raises(InvalidSpaceError, match=r"asymmetric entries at \(0, 1\)"):
+            Finite(matrix)
+    # mixed matrices whose halves agree in type still construct
+    assert Finite(((0, 1.0, 2), (1.0, 0, 1.0), (2, 1.0, 0))).size == 3
+
+
 def test_finite_space_rejects_triangle_violation():
     with pytest.raises(InvalidSpaceError):
         Finite(((0, 1, 5), (1, 0, 1), (5, 1, 0)))

@@ -29,7 +29,7 @@ from otlab import (
     validate_coupling,
 )
 
-from otlab.solver import _kr_witness
+from otlab.solver import _kr_witness, _union_support
 
 from oracles import exhaustive_min_cost, linprog_transport_cost
 
@@ -412,3 +412,59 @@ def test_exact_kr_witness_is_the_c_transform_of_the_potentials():
             assert witness.value == value == result.powered_cost, name
             assert kr_dual(mu, nu).value == value
     assert shared > 0
+
+
+def _list_scan_union(mu, nu):
+    """supp(mu), then each point of supp(nu) that an ``==`` scan does not find yet."""
+    points = list(mu.support)
+    for z in nu.support:
+        if z not in points:
+            points.append(z)
+    return points
+
+
+def _list_scan_witness_value(mu, nu, u):
+    """The dual value of the c-transform of ``u``, summed over the list-scan union."""
+    space = mu.space
+    mu_masses, nu_masses = mu.as_dict(), nu.as_dict()
+    value = 0
+    for z in _list_scan_union(mu, nu):
+        f = min(space.distance(z, y) - uj for y, uj in zip(mu.support, u))
+        value = value + f * (nu_masses.get(z, 0) - mu_masses.get(z, 0))
+    return value
+
+
+def test_union_support_matches_the_list_scan():
+    city = Product(1, 1, Interval(1))
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    exact = DiscreteMeasure(city, (
+        (ProductPoint(0, IntervalPoint(quarter)), quarter),
+        (ProductPoint(half, IntervalPoint(quarter)), quarter),
+        (ProductPoint(half, IntervalPoint(1)), quarter),
+        (ProductPoint(1, IntervalPoint(0)), quarter),
+    ))
+    # the first two points equal points of ``exact``, given as floats
+    floats = DiscreteMeasure(city, (
+        (ProductPoint(0.5, IntervalPoint(0.25)), 0.5),
+        (ProductPoint(1.0, IntervalPoint(0.0)), 0.25),
+        (ProductPoint(0.75, IntervalPoint(0.5)), 0.25),
+    ))
+    # shares two points with ``exact``, one spelled Fraction(2, 2) for the int 1
+    shared = DiscreteMeasure(city, (
+        (ProductPoint(half, IntervalPoint(Fraction(2, 2))), half),
+        (ProductPoint(0, IntervalPoint(quarter)), Fraction(1, 3)),
+        (ProductPoint(quarter, IntervalPoint(0)), Fraction(1, 6)),
+    ))
+    cases = ((exact, floats), (floats, exact), (exact, shared), (shared, exact), (exact, exact))
+    for mu, nu in cases:
+        union = _union_support(mu, nu)
+        # the same points in the same order, each in the form its first measure gives
+        assert [repr(z) for z in union] == [repr(z) for z in _list_scan_union(mu, nu)]
+        result = solve_wasserstein(mu, nu, p=1)
+        witness = _kr_witness(mu, nu, result)
+        assert [repr(z) for z, _ in witness.assignments] == [repr(z) for z in union]
+        assert witness.value == _list_scan_witness_value(mu, nu, result.dual_potentials[0])
+        fresh = kr_dual(mu, nu, independent=True)
+        assert [repr(z) for z, _ in fresh.assignments] == [repr(z) for z in union]
+        assert float(fresh.value) == pytest.approx(float(witness.value), abs=1e-9)
+    assert len(_union_support(exact, floats)) == 5
