@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import DomainError
+
 __all__ = [
     "DEFAULT_TOL",
     "is_exact",
@@ -47,7 +49,8 @@ def parse_number(token: str, exact: bool = False):
     Accepts plain decimals (``0.25``, ``1e-3``) and rationals (``3/10``).
     With ``exact=True`` the result is an ``int`` or ``Fraction`` (decimals are
     read exactly, so ``0.3`` becomes 3/10, not the nearest binary float);
-    otherwise a ``float``.
+    otherwise a ``float``, and a value beyond the float range is a
+    ``ValueError``, never ``inf``.
     """
     token = token.strip()
     if not token:
@@ -58,7 +61,10 @@ def parse_number(token: str, exact: bool = False):
         raise ValueError(f"invalid number {token!r}") from exc
     if exact:
         return int(value) if value.denominator == 1 else value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"number {token!r} is beyond the float range") from None
 
 
 def format_number(x) -> str:
@@ -102,11 +108,17 @@ def root(value, q):
     """q-th root for reporting boundaries.
 
     Exact values survive only the trivial ``q == 1`` case; everything else
-    is a float. Tiny negative float dust is clamped to zero.
+    is a float. Tiny negative float dust is clamped to zero. An exact value
+    beyond the float range is a :class:`DomainError`.
     """
     if q == 1:
         return value
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise DomainError(
+            f"cannot take a root of order {format_number(q)}: the value is beyond the float range"
+        ) from None
     if v < 0.0:
         v = 0.0
     if q == 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -17,7 +18,7 @@ from .errors import (
     ParseError,
     SpaceMismatchError,
 )
-from ._numbers import DEFAULT_TOL, format_number, is_exact, parse_number
+from ._numbers import DEFAULT_TOL, all_exact, format_number, integer_units, is_exact, parse_number
 from .metric import (
     Euclidean,
     EuclideanPoint,
@@ -65,11 +66,14 @@ def _canonical_atoms(space, atoms):
             continue
         if mass < 0:
             raise InvalidMeasureError(f"negative mass {mass!r} at {point}")
-        if isinstance(mass, float) and mass < MASS_FLOOR:
-            raise InvalidMeasureError(
-                f"mass {mass!r} at {point} is below the 1e-15 floor; "
-                "refusing to drop it silently"
-            )
+        if isinstance(mass, float):
+            if mass != mass:  # NaN fails every comparison above
+                raise InvalidMeasureError(f"mass {mass!r} at {point} is not a number")
+            if mass < MASS_FLOOR:
+                raise InvalidMeasureError(
+                    f"mass {mass!r} at {point} is below the 1e-15 floor; "
+                    "refusing to drop it silently"
+                )
         cleaned.append((point, mass))
     cleaned.sort(key=lambda item: point_sort_key(item[0]))
     return tuple(cleaned)
@@ -84,7 +88,12 @@ def _total(atoms):
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Probability measure with finitely many atoms on a metric space."""
+    """Probability measure with finitely many atoms on a metric space.
+
+    ``support``, ``masses`` and the solver's mass units are computed on first
+    use and kept on the instance, outside the dataclass fields: equality,
+    hashing, ``repr`` and pickling see ``space`` and ``atoms`` only.
+    """
 
     space: object
     atoms: tuple
@@ -101,13 +110,25 @@ class DiscreteMeasure:
         elif abs(total - 1.0) > DEFAULT_TOL:
             raise InvalidMeasureError(f"masses sum to {total!r}, expected 1 within {DEFAULT_TOL}")
 
-    @property
+    @cached_property
     def support(self):
         return tuple(p for p, _ in self.atoms)
 
-    @property
+    @cached_property
     def masses(self):
         return tuple(m for _, m in self.atoms)
+
+    @cached_property
+    def _mass_units(self):
+        """``(units, L)`` of :func:`integer_units` over the masses, or None unless all are exact."""
+        masses = self.masses
+        if not all_exact(masses):
+            return None
+        units, L = integer_units(masses)
+        return tuple(units), L
+
+    def __getstate__(self):
+        return {"space": self.space, "atoms": self.atoms}
 
     def mass_of(self, point):
         for p, m in self.atoms:
@@ -349,8 +370,8 @@ def _parse_point(space, tokens, exact, path, lineno, column=2):
     def num(tok, col):
         try:
             return parse_number(tok, exact=exact)
-        except ValueError:
-            raise ParseError(f"invalid number {tok!r}", path=path, line=lineno, column=col) from None
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=lineno, column=col) from None
 
     if isinstance(space, Interval):
         if len(tokens) != 1:

@@ -210,12 +210,32 @@ class _CostMatrix:
         When every coordinate (every matrix entry, for a ``Finite`` space) is
         a float, the matrix is broadcast in numpy, cell for cell bit-identical
         to the scalar code. Any other input takes the scalar code cell by cell.
+        A cell beyond the float range (``inf``, or a float power that
+        overflows) is a :class:`DomainError`: no solve runs on it.
         """
-        costs = self._float_costs(rows, cols, p)
-        if costs is None:
-            cell = self.powered_distance
-            return [[cell(y, z, p) for z in cols] for y in rows]
-        return costs.tolist()
+        try:
+            costs = self._float_costs(rows, cols, p)
+            if costs is None:
+                cell = self.powered_distance
+                matrix = [[cell(y, z, p) for z in cols] for y in rows]
+                finite = _all_finite(matrix)
+            else:
+                finite = bool(np.isfinite(costs).all())
+                matrix = costs.tolist()
+        except OverflowError:  # a float ** beyond the float range
+            finite = False
+        if not finite:
+            raise DomainError(f"a cost d**p at p={format_number(p)} is beyond the float range")
+        return matrix
+
+
+def _all_finite(matrix):
+    """Whether no cell of the list of lists ``matrix`` is a float inf or NaN."""
+    try:
+        return all(all(map(math.isfinite, row)) for row in matrix)
+    except OverflowError:
+        # an exact cell too large to convert; exact cells are finite
+        return all(is_exact(c) or math.isfinite(c) for row in matrix for c in row)
 
 
 def _check_unit_range(t, what):
@@ -275,6 +295,9 @@ class Euclidean(_CostMatrix):
             raise SpaceMismatchError(
                 f"point has {len(p.coords)} coordinates, space has dimension {self.dim}"
             )
+        for c in p.coords:
+            if isinstance(c, float) and not math.isfinite(c):
+                raise SpaceMismatchError(f"coordinate {c!r} is not finite")
 
     def _sq(self, a, b):
         # a plain running sum, the order cost_matrix repeats on arrays (the
@@ -304,15 +327,18 @@ class Euclidean(_CostMatrix):
             return None
         ys = ys.reshape(len(rows), self.dim)
         zs = zs.reshape(len(cols), self.dim)
-        if self.dim == 1:
-            return _power_cells(np.abs(ys[:, :1] - zs[None, :, 0]), p)
-        # _sq's running sum, dimension by dimension from the first square;
-        # a float sq is raised to float(p) / 2 in every branch above
-        sq = None
-        for k in range(self.dim):
-            d = ys[:, None, k] - zs[None, :, k]
-            sq = d * d if sq is None else sq + d * d
-        return _power_cells(sq, float(p) / 2.0)
+        # the only broadcast whose arithmetic can overflow; cost_matrix
+        # refuses the inf cells, so numpy need not warn about them
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.dim == 1:
+                return _power_cells(np.abs(ys[:, :1] - zs[None, :, 0]), p)
+            # _sq's running sum, dimension by dimension from the first square;
+            # a float sq is raised to float(p) / 2 in every branch above
+            sq = None
+            for k in range(self.dim):
+                d = ys[:, None, k] - zs[None, :, k]
+                sq = d * d if sq is None else sq + d * d
+            return _power_cells(sq, float(p) / 2.0)
 
     def _unit_costs(self, rows, cols, p):
         if self.dim == 1:
@@ -355,6 +381,8 @@ def _validate_finite_matrix(matrix):
                 raise InvalidSpaceError(f"asymmetric entries at ({i}, {j})")
             if not matrix[i][j] > 0:
                 raise InvalidSpaceError(f"off-diagonal entry at ({i}, {j}) must be positive")
+            if matrix[i][j] == math.inf:
+                raise InvalidSpaceError(f"entry at ({i}, {j}) is not finite")
     exact = all(is_exact(v) for row in matrix for v in row)
     if exact:
         for k in range(n):
@@ -653,10 +681,8 @@ def load_finite_space(path, exact=False):
         for col, tok in enumerate(tokens, start=1):
             try:
                 row.append(parse_number(tok, exact=exact))
-            except ValueError:
-                raise ParseError(
-                    f"invalid number {tok!r}", path=path, line=lineno, column=col
-                ) from None
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno, column=col) from None
         rows.append(row)
         if len(rows) == n:
             break

@@ -409,13 +409,29 @@ def _certify(a, b, cost, flows, u, v, m, n, exact, tol):
     return (diff == 0) if exact else (abs(diff) <= tol)
 
 
+def _joint_units(mass_a, mass_b):
+    """Two measures' cached ``(units, L)`` brought to one unit: ``(a_units, b_units, L)``.
+
+    L is the lcm of the two, so these are the ints ``integer_units(a + b)``
+    gives over both measures' masses.
+    """
+    (a_units, La), (b_units, Lb) = mass_a, mass_b
+    L = math.lcm(La, Lb)
+    if L != La:
+        a_units = [x * (L // La) for x in a_units]
+    if L != Lb:
+        b_units = [x * (L // Lb) for x in b_units]
+    return a_units, b_units, L
+
+
 def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
     With int/Fraction masses and every cost d**p exact, the space builds the
-    m x n costs in integer units from the coordinates (``_unit_costs``), and
-    the potentials are re-derived from ``powered_distance`` on the m + n - 1
-    cells of the final tree only. Any other input takes the space's
+    m x n costs in integer units from the coordinates (``_unit_costs``), the
+    masses' integer units come cached on each measure, and the potentials
+    are re-derived from ``powered_distance`` on the m + n - 1 cells of the
+    final tree only. Any other input takes the space's
     ``cost_matrix``: broadcast in numpy when every coordinate is a float,
     bit-identical to ``powered_distance`` cell by cell, and built cell by
     cell otherwise.
@@ -436,19 +452,19 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     rows = mu.support
     cols = nu.support
     m, n = len(rows), len(cols)
-    a = list(mu.masses)
-    b = list(nu.masses)
+    mass_a = mu._mass_units
+    mass_b = nu._mass_units
     # the measures validated their points and p is checked above
-    units = space._unit_costs(rows, cols, p) if all_exact(a) and all_exact(b) else None
+    units = None if mass_a is None or mass_b is None else space._unit_costs(rows, cols, p)
     exact = units is not None
     budget = 10 * m * n if pivot_budget is None else pivot_budget
+    weights = [[0] * n for _ in range(m)]
 
     if exact:
         # pivot and certify on integers: masses times L and costs times Lc,
         # so flow-times-cost sums are in units of 1 / (L * Lc)
         cost_units, Lc = units
-        mass_units, L = integer_units(a + b)
-        a_units, b_units = mass_units[:m], mass_units[m:]
+        a_units, b_units, L = _joint_units(mass_a, mass_b)
         flows_units, pivots, u_units, v_units, adj = _transport_simplex(
             a_units, b_units, cost_units, m, n, L * Lc, budget
         )
@@ -456,10 +472,10 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
             a_units, b_units, cost_units, flows_units, u_units, v_units, m, n, True, tol
         )
         powered = Fraction(_flow_cost(flows_units, cost_units), L * Lc)
-        flows = {
-            cell: Fraction(f, L) if f % L else Fraction(f // L)
-            for cell, f in flows_units.items()
-        }
+        # the plan's nonzero cells become Fractions; the zero cells stay int 0
+        for (i, j), f in flows_units.items():
+            if f:
+                weights[i][j] = Fraction(f, L) if f % L else Fraction(f // L)
         # the reported potentials come from the space's powered distances on
         # the final tree, so each is an int or a Fraction just as that path
         # makes it
@@ -470,15 +486,16 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         v = [0] * n
         _hang(0, adj, [-1] * (m + n), [0] * (m + n), u, v, tree, m)
     else:
+        a = mu.masses
+        b = nu.masses
         cost = space.cost_matrix(rows, cols, p)
         flows, pivots, u, v, _adj = _transport_simplex(a, b, cost, m, n, None, budget)
         certified = _certify(a, b, cost, flows, u, v, m, n, False, tol)
         powered = _flow_cost(flows, cost)
+        for (i, j), f in flows.items():
+            if f != 0:
+                weights[i][j] = f
 
-    weights = [[0] * n for _ in range(m)]
-    for (i, j), f in flows.items():
-        if f != 0:
-            weights[i][j] = f
     plan = Coupling._solved(space, rows, cols, tuple(tuple(r) for r in weights))
     return TransportResult(
         p=p,
