@@ -383,29 +383,26 @@ def _validate_finite_matrix(matrix):
                 raise InvalidSpaceError(f"off-diagonal entry at ({i}, {j}) must be positive")
             if matrix[i][j] == math.inf:
                 raise InvalidSpaceError(f"entry at ({i}, {j}) is not finite")
-    exact = all(is_exact(v) for row in matrix for v in row)
-    if exact:
-        for k in range(n):
-            for i in range(n):
-                dik = matrix[i][k]
-                row_k = matrix[k]
-                row_i = matrix[i]
-                for j in range(n):
-                    if row_i[j] > dik + row_k[j]:
-                        raise InvalidSpaceError(
-                            f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-                        )
+    # one triangle check per k for every matrix: an all-exact one is compared
+    # exactly, on its integer units; a float or mixed one in float64, with a
+    # slack of 1e-12 times its largest entry for decimal-to-binary round-off
+    flat = [v for row in matrix for v in row]
+    if all_exact(flat):
+        D, slack = np.array(integer_units(flat)[0], dtype=object), 0
     else:
-        D = np.asarray([[float(v) for v in row] for row in matrix])
-        # slack absorbs decimal-to-binary round-off from file input
-        slack = 1e-12
-        for k in range(n):
-            if (D > D[:, k][:, None] + D[k, :][None, :] + slack).any():
-                bad = np.argwhere(D > D[:, k][:, None] + D[k, :][None, :] + slack)[0]
-                i, j = int(bad[0]), int(bad[1])
-                raise InvalidSpaceError(
-                    f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
-                )
+        D = np.array([float(v) for v in flat])
+        slack = 1e-12 * D.max()
+    D = D.reshape(n, n)
+    for k in range(n):
+        through_k = D[:, k, None] + D[None, k, :]
+        if slack:  # skips n * n additions of int 0 on an exact matrix
+            through_k += slack
+        bad = D > through_k
+        if bad.any():
+            i, j = (int(x) for x in np.argwhere(bad)[0])
+            raise InvalidSpaceError(
+                f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
+            )
 
 
 @dataclass(frozen=True)
@@ -652,7 +649,8 @@ def load_finite_space(path, exact=False):
 
     Format: first line holds n, then n lines of n space-separated distances.
     Numbers may be decimals or rationals ``p/q``; ``exact=True`` parses them
-    as Fractions.
+    as Fractions. Blank lines and ``#`` comments may appear anywhere; any
+    other line after the n rows is a :class:`ParseError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -672,6 +670,10 @@ def load_finite_space(path, exact=False):
             if n <= 0:
                 raise ParseError("point count must be positive", path=path, line=lineno)
             continue
+        if len(rows) == n:
+            raise ParseError(
+                f"unexpected line after the {n} rows of the matrix", path=path, line=lineno
+            )
         tokens = text.split()
         if len(tokens) != n:
             raise ParseError(
@@ -684,8 +686,6 @@ def load_finite_space(path, exact=False):
             except ValueError as exc:
                 raise ParseError(str(exc), path=path, line=lineno, column=col) from None
         rows.append(row)
-        if len(rows) == n:
-            break
     if n is None:
         raise ParseError("empty finite-space file", path=path, line=lineno or 1)
     if len(rows) != n:

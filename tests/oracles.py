@@ -2,7 +2,13 @@
 
 Each oracle recomputes a quantity the package also computes, by a
 deliberately different route, so the tests compare two derivations that
-share no code path.
+share no code path. This module imports nothing from ``otlab``;
+``tests/test_imports.py`` checks that at any depth.
+
+Closed forms: the tree formula for W1 on a weighted tree (Evans & Matsen
+2012) and the monotone (quantile) coupling on the line (Santambrogio 2015,
+ch. 2). A triangle-inequality check by direct triple loop is the reference
+for the validation of explicit finite metrics.
 """
 
 import numpy as np
@@ -112,6 +118,66 @@ def linprog_transport_cost(mu_masses, nu_masses, cost_matrix):
     if not res.success:
         raise RuntimeError(f"reference LP failed: {res.message}")
     return float(res.fun)
+
+
+def tree_w1(parent, weight, mu, nu):
+    """W1 between two measures on the vertices of a weighted tree.
+
+    ``parent[v]`` is the parent of vertex v, or None at the root, and
+    ``weight[v]`` the length of the edge from v to its parent. ``mu`` and
+    ``nu`` map vertices to masses. Each edge e carries the mass imbalance of
+    the subtree T_e below it, so W1 = sum_e w_e * |mu(T_e) - nu(T_e)|; exact
+    inputs give an exact value.
+    """
+    children = {v: [] for v in range(len(parent))}
+    for v, up in enumerate(parent):
+        if up is not None:
+            children[up].append(v)
+    order = [v for v, up in enumerate(parent) if up is None]
+    for v in order:  # grows while it is read: a breadth-first order
+        order.extend(children[v])
+    excess = [mu.get(v, 0) - nu.get(v, 0) for v in range(len(parent))]
+    total = 0
+    for v in reversed(order):
+        if parent[v] is not None:
+            total += weight[v] * abs(excess[v])
+            excess[parent[v]] += excess[v]
+    return total
+
+
+def monotone_line_cost(xs, ys, exponent):
+    """Cost of the monotone (quantile) coupling of two measures on the line.
+
+    ``xs`` and ``ys`` are (position, mass) pairs with equal total mass. The
+    coupling sends the k-th unit of mass in increasing order of position to
+    the k-th, so it pairs the two quantile functions; for the cost
+    |x - y| ** exponent with exponent >= 1 no coupling is cheaper.
+    """
+    xs = [list(a) for a in sorted(xs)]
+    ys = [list(b) for b in sorted(ys)]
+    total = 0
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        moved = min(xs[i][1], ys[j][1])
+        total += moved * abs(xs[i][0] - ys[j][0]) ** exponent
+        xs[i][1] -= moved
+        ys[j][1] -= moved
+        if xs[i][1] == 0:
+            i += 1
+        if ys[j][1] == 0:
+            j += 1
+    return total
+
+
+def first_triangle_violation(matrix, slack=0):
+    """The first (i, j, k) with d(i, j) > d(i, k) + d(k, j) + slack, k outermost, or None."""
+    n = len(matrix)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if matrix[i][j] > matrix[i][k] + matrix[k][j] + slack:
+                    return i, j, k
+    return None
 
 
 def fraction_atoms(mu):

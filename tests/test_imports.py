@@ -106,3 +106,58 @@ def test_package_private_names_are_used():
     users = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in USERS}
     definitions = {k: v for k, v in users.items() if k.startswith("src/otlab/")}
     assert orphaned_private_names(definitions, users) == []
+
+
+def package_imports(source, package="otlab"):
+    """(line, name) of every import of ``package`` or its modules, at any depth.
+
+    Counts ``import`` and ``from ... import`` statements anywhere in the tree,
+    and calls such as ``importlib.import_module`` or ``__import__`` whose first
+    argument is a string naming the package.
+    """
+
+    def names_package(name):
+        return name == package or name.startswith(package + ".")
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if names_package(a.name)]
+        elif isinstance(node, ast.ImportFrom) and names_package(node.module or ""):
+            found.append((node.lineno, node.module))
+        elif (
+            isinstance(node, ast.Call)
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+            and names_package(node.args[0].value)
+        ):
+            found.append((node.lineno, node.args[0].value))
+    return sorted(found)
+
+
+def test_scan_flags_a_package_import_at_any_depth():
+    source = (
+        "import importlib\n"
+        "import otlabx, numpy\n"
+        "class Oracle:\n"
+        "    def solve(self):\n"
+        "        from otlab.metric import Finite\n"
+        "        if True:\n"
+        "            import otlab.solver as s\n"
+        "        return importlib.import_module('otlab')\n"
+        "def late():\n"
+        "    from otlab import solve_wasserstein\n"
+        "    return __import__('otlab._numbers'), 'otlab'\n"
+    )
+    assert package_imports(source) == [
+        (5, "otlab.metric"),
+        (7, "otlab.solver"),
+        (8, "otlab"),
+        (10, "otlab"),
+        (11, "otlab._numbers"),
+    ]
+
+
+def test_oracles_import_nothing_from_the_package():
+    assert package_imports((TESTS / "oracles.py").read_text(encoding="utf-8")) == []
