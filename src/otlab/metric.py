@@ -177,11 +177,26 @@ def _root_cells(values, q):
 # None when some cell of that matrix is not an int or a Fraction. Coordinates
 # are scaled once by the lcm of their denominators, so no Fraction is made per
 # cell. An exponent is integral by the rule of ``powered_abs``.
+#
+# ``_int_cost(a, b)`` of every space kind says whether an exact
+# ``powered_distance(a, b, p)`` is an int rather than a Fraction. The solver
+# asks it on the cells of its final tree only, to give each potential the type
+# the Fraction arithmetic along its tree path would give it.
 
 
 def _integral(exponent):
     """``exponent`` as an int when it equals one, else None."""
     return int(exponent) if exponent == int(exponent) else None
+
+
+def _no_fraction(values):
+    """Whether no value is a Fraction.
+
+    Each space kind's ``_int_cost`` applies it to the exact values a cell is
+    built from: ints (bools among them) give an int cost, and any Fraction
+    makes the cost a Fraction, also an integral one such as ``Fraction(1)``.
+    """
+    return not any(isinstance(v, Fraction) for v in values)
 
 
 def _delta_units(ys, zs, exponent):
@@ -268,6 +283,9 @@ class Interval(_CostMatrix):
     def powered_distance(self, a, b, p):
         return powered_abs(a.t - b.t, _mul_exponents(self.alpha, p))
 
+    def _int_cost(self, a, b):
+        return _no_fraction((a.t, b.t))
+
     def _float_costs(self, rows, cols, p):
         return _t_costs(rows, cols, _mul_exponents(self.alpha, p))
 
@@ -307,10 +325,33 @@ class Euclidean(_CostMatrix):
             total = total + (u - v) * (u - v)
         return total
 
+    def _scaled_norm(self, a, b):
+        """|a - b| as s * sqrt(sum((d / s)**2)), s the largest |d|, in floats.
+
+        No square here overflows, so this is the distance where ``_sq`` is
+        beyond the float range and the distance is not. It takes over only
+        there: elsewhere it may differ from ``math.sqrt`` of ``_sq`` in the
+        last digit. Tiny coordinates whose squares underflow are left as
+        ``_sq`` makes them.
+        """
+        deltas = [float(u - v) for u, v in zip(a.coords, b.coords)]
+        s = max(abs(d) for d in deltas)
+        if s == math.inf:
+            return s
+        total = 0.0
+        for d in deltas:
+            r = d / s
+            total = total + r * r
+        return s * math.sqrt(total)
+
     def distance(self, a, b):
         if self.dim == 1:
             return abs(a.coords[0] - b.coords[0])
-        return math.sqrt(float(self._sq(a, b)))
+        try:
+            d = math.sqrt(float(self._sq(a, b)))
+        except OverflowError:  # an exact square too large for a float
+            d = math.inf
+        return self._scaled_norm(a, b) if d == math.inf else d
 
     def powered_distance(self, a, b, p):
         if self.dim == 1:
@@ -318,7 +359,16 @@ class Euclidean(_CostMatrix):
         sq = self._sq(a, b)
         if p == int(p) and int(p) % 2 == 0:
             return sq ** (int(p) // 2)
-        return float(sq) ** (float(p) / 2.0)
+        try:
+            sq = float(sq)
+        except OverflowError:  # an exact square too large for a float
+            sq = math.inf
+        if sq == math.inf:  # the square overflowed; the distance may not have
+            return self._scaled_norm(a, b) ** float(p)
+        return sq ** (float(p) / 2.0)
+
+    def _int_cost(self, a, b):
+        return _no_fraction(a.coords + b.coords)
 
     def _float_costs(self, rows, cols, p):
         ys = _floats([c for y in rows for c in y.coords])
@@ -333,12 +383,23 @@ class Euclidean(_CostMatrix):
             if self.dim == 1:
                 return _power_cells(np.abs(ys[:, :1] - zs[None, :, 0]), p)
             # _sq's running sum, dimension by dimension from the first square;
-            # a float sq is raised to float(p) / 2 in every branch above
+            # a finite float sq is raised to float(p) / 2 in every branch above
             sq = None
             for k in range(self.dim):
                 d = ys[:, None, k] - zs[None, :, k]
                 sq = d * d if sq is None else sq + d * d
-            return _power_cells(sq, float(p) / 2.0)
+            costs = _power_cells(sq, float(p) / 2.0)
+            e = _integral(p)
+            if e is not None and e % 2 == 0:
+                return costs
+            # a cell whose square overflowed takes the scalar code, which
+            # scales it. No |d| exceeds ``reach``, so below 1e300 no square
+            # can overflow and the matrix is not scanned for one.
+            reach = float(np.abs(ys).max(initial=0.0)) + float(np.abs(zs).max(initial=0.0))
+            if not reach * reach * self.dim < 1e300:
+                for i, j in np.argwhere(np.isinf(sq)).tolist():
+                    costs[i, j] = self.powered_distance(rows[i], cols[j], p)
+            return costs
 
     def _unit_costs(self, rows, cols, p):
         if self.dim == 1:
@@ -363,6 +424,10 @@ class Euclidean(_CostMatrix):
 
 
 def _validate_finite_matrix(matrix):
+    """Check that ``matrix`` is a finite metric.
+
+    Returns the ``Finite._unit_matrix`` of an all-exact matrix, else None.
+    """
     n = len(matrix)
     if n == 0:
         raise InvalidSpaceError("finite space needs at least one point")
@@ -387,8 +452,11 @@ def _validate_finite_matrix(matrix):
     # exactly, on its integer units; a float or mixed one in float64, with a
     # slack of 1e-12 times its largest entry for decimal-to-binary round-off
     flat = [v for row in matrix for v in row]
+    units = None
     if all_exact(flat):
-        D, slack = np.array(integer_units(flat)[0], dtype=object), 0
+        flat, L = integer_units(flat)  # the entries times L, as ints
+        units = [flat[i : i + n] for i in range(0, n * n, n)], L
+        D, slack = np.array(flat, dtype=object), 0
     else:
         D = np.array([float(v) for v in flat])
         slack = 1e-12 * D.max()
@@ -403,6 +471,7 @@ def _validate_finite_matrix(matrix):
             raise InvalidSpaceError(
                 f"triangle inequality fails: d({i},{j}) > d({i},{k}) + d({k},{j})"
             )
+    return units
 
 
 @dataclass(frozen=True)
@@ -414,7 +483,14 @@ class Finite(_CostMatrix):
     def __post_init__(self):
         rows = tuple(tuple(row) for row in self.matrix)
         object.__setattr__(self, "matrix", rows)
-        _validate_finite_matrix(rows)
+        units = _validate_finite_matrix(rows)
+        if units is not None:
+            # the check's integer units fill the cache the exact solves read
+            object.__setattr__(self, "_unit_matrix", units)
+
+    def __getstate__(self):
+        # the cached arrays stay out of pickles, as they stay out of == and hash
+        return {"matrix": self.matrix}
 
     @property
     def size(self):
@@ -431,6 +507,9 @@ class Finite(_CostMatrix):
 
     def powered_distance(self, a, b, p):
         return powered_abs(self.matrix[a.index][b.index], p)
+
+    def _int_cost(self, a, b):
+        return not isinstance(self.matrix[a.index][b.index], Fraction)
 
     @cached_property
     def _float_matrix(self):
@@ -506,6 +585,10 @@ class Product(_CostMatrix):
             return fiber + self.base.powered_distance(a.x, b.x, self.q)
         d = self.distance(a, b)
         return powered_abs(d, p)
+
+    def _int_cost(self, a, b):
+        # at p != q an exact cost is the p-th power of the one at q == 1
+        return _no_fraction((a.t, b.t)) and self.base._int_cost(a.x, b.x)
 
     def _float_costs(self, rows, cols, p):
         if p == self.q:

@@ -424,14 +424,41 @@ def _joint_units(mass_a, mass_b):
     return a_units, b_units, L
 
 
+def _int_nodes(space, rows, cols, adj, m):
+    """Whether each tree node's potential is an int, walking the tree from row 0.
+
+    The potential of row 0 is the int 0, and each node below gets the cost of
+    the cell to its parent minus its parent's potential. That difference is an
+    int exactly when both are, so a node's potential is an int exactly when
+    every cost on its path from row 0 is (``space._int_cost``).
+    """
+    ints = [None] * len(adj)
+    ints[0] = True
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nb in adj[node]:
+            if ints[nb] is None:
+                i, j = (nb, node - m) if nb < m else (node, nb - m)
+                ints[nb] = ints[node] and space._int_cost(rows[i], cols[j])
+                stack.append(nb)
+    return ints
+
+
 def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
     With int/Fraction masses and every cost d**p exact, the space builds the
-    m x n costs in integer units from the coordinates (``_unit_costs``), the
-    masses' integer units come cached on each measure, and the potentials
-    are re-derived from ``powered_distance`` on the m + n - 1 cells of the
-    final tree only. Any other input takes the space's
+    m x n costs in integer units from the coordinates (``_unit_costs``), and
+    the masses' integer units come cached on each measure. The reported
+    potentials are the kernel's integer potentials over the cost unit Lc: a
+    potential is the int ``x // Lc`` when every cell on its tree path from
+    row 0 has an int cost, and ``Fraction(x, Lc)`` otherwise, the type
+    Fraction arithmetic along that path would give it. A cell's cost is an
+    int when none of the exact values it is built from (coordinates, or the
+    matrix entry of a ``Finite`` space) is a Fraction; the space answers
+    that on the m + n - 1 tree cells only (``_int_cost``). Any other input
+    takes the space's
     ``cost_matrix``: broadcast in numpy when every coordinate is a float,
     bit-identical to ``powered_distance`` cell by cell, and built cell by
     cell otherwise.
@@ -476,15 +503,12 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         for (i, j), f in flows_units.items():
             if f:
                 weights[i][j] = Fraction(f, L) if f % L else Fraction(f // L)
-        # the reported potentials come from the space's powered distances on
-        # the final tree, so each is an int or a Fraction just as that path
-        # makes it
-        tree = [{} for _ in range(m)]
-        for i, j in flows_units:
-            tree[i][j] = space.powered_distance(rows[i], cols[j], p)
-        u = [0] * m
-        v = [0] * n
-        _hang(0, adj, [-1] * (m + n), [0] * (m + n), u, v, tree, m)
+        # the kernel's potentials are in cost units; each is reported as the
+        # int or the Fraction that Fraction arithmetic along its tree path
+        # from row 0 would make
+        ints = _int_nodes(space, rows, cols, adj, m)
+        u = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(u_units, ints)]
+        v = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(v_units, ints[m:])]
     else:
         a = mu.masses
         b = nu.masses
@@ -531,29 +555,52 @@ class DualPotential:
         raise DomainError(f"point {point!r} not in the potential's domain")
 
 
+def _union(mu, nu):
+    """The points of supp(mu) | supp(nu), and the index there of each point of supp(nu).
+
+    One point -> index map builds both. The points of mu come first, at their
+    own indices. Points are frozen dataclasses and equal numbers hash equal, so
+    a point of nu equal to one of mu (Fraction(1, 2) and 0.5 alike) keeps mu's
+    form and index.
+    """
+    index = {z: k for k, z in enumerate(mu.support)}
+    nu_at = [index.setdefault(z, len(index)) for z in nu.support]
+    return list(index), nu_at
+
+
 def _union_support(mu, nu):
-    # points are frozen dataclasses and equal numbers hash equal, so a point of
-    # nu equal to one of mu (Fraction(1, 2) and 0.5 alike) keeps mu's form
-    return list(dict.fromkeys(mu.support + nu.support))
+    return _union(mu, nu)[0]
+
+
+def _net_mass(a, b, nu_at, size):
+    """nu's mass minus mu's at each union point, from the mass lists ``a`` of mu and ``b`` of nu."""
+    net = [-x for x in a] + [0] * (size - len(a))
+    for k, x in zip(nu_at, b):
+        net[k] = net[k] + x
+    return net
 
 
 def _kr_witness(mu, nu, result):
     """1-Lipschitz witness f(z) = min_j (d(z, y_j) - u_j) from a solved p = 1 ``result``.
 
+    The dual value is the sum of f(z) times nu's mass minus mu's at z, over
+    the union of the supports.
+
     On an exact result the c-transform runs in integers: the distances come
     from the space's integer units at p = 1 over supp(mu) | supp(nu) x
-    supp(mu), and the potentials are scaled to their common unit with them.
-    A float result, or a space whose units are not exact there, takes
-    ``space.distance`` cell by cell: a float ``Euclidean`` distance at dim
+    supp(mu), and the potentials are scaled to their common unit L with them.
+    The net masses are taken in the measures' joint mass units (scale Lm), so
+    the dual value is one ``Fraction(sum, L * Lm)`` of an integer sum; each
+    f(z) is a Fraction. A float result, or a space whose units are not exact
+    there, takes ``space.distance`` cell by cell and sums f(z) times the net
+    mass in the masses' own arithmetic: a float ``Euclidean`` distance at dim
     >= 2 is ``math.sqrt``, which can differ from the p = 1 cost in the last
     digit.
     """
     space = mu.space
     u = result.dual_potentials[0]
     rows = mu.support
-    points = _union_support(mu, nu)
-    mu_masses = mu.as_dict()
-    nu_masses = nu.as_dict()
+    points, nu_at = _union(mu, nu)
     units = space._unit_costs(points, rows, 1) if result.arithmetic == "exact" else None
     if units is None:
         values = []
@@ -564,18 +611,20 @@ def _kr_witness(mu, nu, result):
                 if best is None or cand < best:
                     best = cand
             values.append(best)
+        value = 0
+        for f, net in zip(values, _net_mass(mu.masses, nu.masses, nu_at, len(points))):
+            value = value + f * net
     else:
         costs, scale = units
         u_units, Lu = integer_units(u)
         L = math.lcm(scale, Lu)
         k = L // scale
         u_units = [x * (L // Lu) for x in u_units]
-        values = [
-            Fraction(min(c * k - uj for c, uj in zip(row, u_units)), L) for row in costs
-        ]
-    value = 0
-    for z, f in zip(points, values):
-        value = value + f * (nu_masses.get(z, 0) - mu_masses.get(z, 0))
+        f_units = [min(c * k - uj for c, uj in zip(row, u_units)) for row in costs]
+        values = [Fraction(x, L) for x in f_units]
+        a_units, b_units, Lm = _joint_units(mu._mass_units, nu._mass_units)
+        net = _net_mass(a_units, b_units, nu_at, len(points))
+        value = Fraction(sum(f * x for f, x in zip(f_units, net)), L * Lm)
     return DualPotential(value, tuple(zip(points, values)), "simplex-potentials")
 
 

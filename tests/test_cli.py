@@ -204,8 +204,8 @@ class TestDist:
         assert len(calls) == 1
 
     def test_exact_order_one_costs_only_the_final_tree(self, capsys, tmp_path, monkeypatch):
-        # the exact solve and its witness work in integer units: the space is
-        # asked for distances only on the m + n - 1 cells of the final tree
+        # the exact solve, its potentials and its witness work in integer
+        # units: the space is asked for no scalar distance at all
         counts = {}
         for cls in (otlab.metric.Product, otlab.metric.Interval):
             for name in ("distance", "powered_distance"):
@@ -231,8 +231,17 @@ class TestDist:
         assert values["dual_value"] == values["distance"]
         assert counts.get(("Product", "distance"), 0) == 0
         assert counts.get(("Interval", "distance"), 0) == 0
-        assert 0 < counts[("Product", "powered_distance")] <= 3 + 3 - 1
-        assert counts[("Interval", "powered_distance")] <= 3 + 3 - 1
+        assert counts.get(("Product", "powered_distance"), 0) == 0
+        assert counts.get(("Interval", "powered_distance"), 0) == 0
+        # the counters do fire: the float witness asks for every distance
+        code, _ = run(
+            capsys,
+            "dist", str(a), str(b),
+            "--space", "product", "--base", "interval",
+            "--alpha", "1", "--q", "1", "--mode", "float", "--order", "1",
+        )
+        assert code == EXIT_PASS
+        assert counts[("Product", "distance")] > 0
 
     @pytest.mark.parametrize("mode", sorted(PINNED_STDOUT))
     def test_stdout_bytes_are_pinned(self, capsys, pinned_files, mode):

@@ -116,6 +116,42 @@ def test_broadcast_cost_matrix_checks_every_cell():
         assert space.cost_matrix(rows[:1], near, 1) == want
 
 
+@pytest.mark.parametrize("p", [1, 1.5])
+def test_euclidean_distance_whose_square_overflows_is_kept(p):
+    # the squares of these differences overflow, the distances do not; the
+    # scalar code and the broadcast scale them alike, bit for bit
+    space = Euclidean(2)
+    far = EuclideanPoint((-1e200, 0.0))
+    assert space.distance(EuclideanPoint((0.0, 0.0)), far) == 1e200
+    rows = [EuclideanPoint((0.0, 0.0)), EuclideanPoint((3e200, 4e200)), EuclideanPoint((1.5, -2.0))]
+    cols = [far, EuclideanPoint((0.0, 0.0)), EuclideanPoint((-1e150, 1e150))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = space.cost_matrix(rows, cols, p)
+        assert costs == [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+        assert costs[1][1] == pytest.approx(5e200 ** float(p), rel=1e-15)
+        assert costs[0][0] == 1e200 ** float(p)
+        city = Product(1, 1, space)
+        points = [ProductPoint(0.5, y) for y in rows]
+        assert city.cost_matrix(points, points[::-1], p) == [
+            [city.powered_distance(y, z, p) for z in points[::-1]] for y in points
+        ]
+        for origin, point in (((0.0, 0.0), far.coords), ((0, 0), (-(10**200), 0))):
+            # exact coordinates take the same route once their square is a float
+            mu = DiscreteMeasure(space, ((EuclideanPoint(origin), 1),))
+            nu = DiscreteMeasure(space, ((EuclideanPoint(point), 1),))
+            assert space.distance(mu.support[0], nu.support[0]) == 1e200
+            result = solve_wasserstein(mu, nu, p=p)
+            assert result.cost == pytest.approx(1e200, rel=1e-12) and result.certified
+
+
+def test_euclidean_power_of_a_scaled_distance_beyond_the_float_range_is_a_domain_error():
+    mu = DiscreteMeasure(Euclidean(2), ((EuclideanPoint((0.0, 0.0)), 1.0),))
+    nu = DiscreteMeasure(Euclidean(2), ((EuclideanPoint((-1e200, 0.0)), 1.0),))
+    with pytest.raises(DomainError, match="beyond the float range"):
+        solve_wasserstein(mu, nu, p=3)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_exact_cost_whose_root_overflows_is_a_domain_error(p):
     mu, nu = _far_pair(10**200, -(10**200), Fraction(1, 2))

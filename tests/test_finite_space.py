@@ -5,13 +5,22 @@ compared exactly, a float or mixed one within 1e-12 of its largest entry.
 The reference is the direct triple loop of ``oracles.first_triangle_violation``.
 """
 
+import pickle
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from otlab import Finite, InvalidSpaceError, ParseError, load_finite_space
+from otlab import (
+    DiscreteMeasure,
+    Finite,
+    FinitePoint,
+    InvalidSpaceError,
+    ParseError,
+    load_finite_space,
+    solve_wasserstein,
+)
 
 from oracles import first_triangle_violation
 
@@ -105,3 +114,27 @@ def test_finite_space_file_refuses_rows_after_the_matrix(tmp_path):
     # blank and comment lines after the matrix are allowed
     path.write_text("2\n0 1\n1 0\n\n# end of matrix\n   \n", encoding="utf-8")
     assert load_finite_space(str(path), exact=True).matrix == ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize("kind", ("exact", "float", "mixed"))
+def test_warm_and_fresh_finite_spaces_are_equal_and_pickle_alike(kind):
+    # the caches a space fills at construction and in solves stay out of ==,
+    # hash and pickles; a fresh copy computes the same units on first use
+    line = [0, Fraction(1, 2), 2, Fraction(7, 3)]
+    exact = [[abs(a - b) for b in line] for a in line]
+    if kind == "float":
+        exact = [[float(d) for d in row] for row in exact]
+    elif kind == "mixed":
+        exact[0][3] = exact[3][0] = float(exact[0][3])
+    matrix = tuple(tuple(row) for row in exact)
+    warm = Finite(matrix)
+    half = Fraction(1, 2)
+    mu = DiscreteMeasure(warm, ((FinitePoint(1), half), (FinitePoint(2), half)))
+    nu = DiscreteMeasure(warm, ((FinitePoint(2), half), (FinitePoint(3), half)))
+    assert solve_wasserstein(mu, nu, p=1).arithmetic == ("float" if kind == "float" else "exact")
+    assert "_unit_matrix" in vars(warm)
+    fresh = pickle.loads(pickle.dumps(Finite(matrix)))
+    assert "_unit_matrix" not in vars(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh)
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    assert warm._unit_matrix == fresh._unit_matrix

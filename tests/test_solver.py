@@ -455,7 +455,15 @@ def test_union_support_matches_the_list_scan():
         (ProductPoint(0, IntervalPoint(quarter)), Fraction(1, 3)),
         (ProductPoint(quarter, IntervalPoint(0)), Fraction(1, 6)),
     ))
-    cases = ((exact, floats), (floats, exact), (exact, shared), (shared, exact), (exact, exact))
+    # no point of ``apart`` is in ``exact``: its part of the union is nu's alone
+    apart = DiscreteMeasure(city, (
+        (ProductPoint(Fraction(3, 4), IntervalPoint(Fraction(3, 4))), Fraction(2, 3)),
+        (ProductPoint(1, IntervalPoint(1)), Fraction(1, 3)),
+    ))
+    cases = (
+        (exact, floats), (floats, exact), (exact, shared), (shared, exact), (exact, exact),
+        (exact, apart),
+    )
     for mu, nu in cases:
         union = _union_support(mu, nu)
         # the same points in the same order, each in the form its first measure gives
@@ -468,3 +476,112 @@ def test_union_support_matches_the_list_scan():
         assert [repr(z) for z, _ in fresh.assignments] == [repr(z) for z in union]
         assert float(fresh.value) == pytest.approx(float(witness.value), abs=1e-9)
     assert len(_union_support(exact, floats)) == 5
+
+
+def _tree_hung_potentials(mu, nu, p):
+    """The exact potentials as ``powered_distance`` on the final tree cells, hung from row 0.
+
+    The kernel runs again on the same integer units, so it ends on the same
+    tree; the potentials are then rebuilt in Fraction arithmetic, each cell's
+    cost minus the potential of its parent node.
+    """
+    from otlab.solver import _joint_units, _transport_simplex
+
+    space, rows, cols = mu.space, mu.support, nu.support
+    m, n = len(rows), len(cols)
+    cost_units, Lc = space._unit_costs(rows, cols, p)
+    a, b, L = _joint_units(mu._mass_units, nu._mass_units)
+    flows, _pivots, _u, _v, adj = _transport_simplex(a, b, cost_units, m, n, L * Lc, 10 * m * n)
+    tree = {(i, j): space.powered_distance(rows[i], cols[j], p) for i, j in flows}
+    u, v = [None] * m, [None] * n
+    u[0] = 0
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nb in adj[node]:
+            if nb < m and u[nb] is None:
+                u[nb] = tree[(nb, node - m)] - v[node - m]
+                stack.append(nb)
+            elif nb >= m and v[nb - m] is None:
+                v[nb - m] = tree[(node, nb - m)] - u[node]
+                stack.append(nb)
+    return tuple(u), tuple(v)
+
+
+def _mixed_line_finite():
+    """A line metric whose integral entries are spelled int, True or Fraction(k, 1) in turn."""
+    line = [0, 1, Fraction(3, 2), 3, Fraction(10, 3), 5]
+
+    def entry(i, j):
+        d = abs(Fraction(line[i]) - Fraction(line[j]))
+        if d.denominator != 1:
+            return d
+        spell = (i + j) % 3
+        if spell == 0 and d == 1:
+            return True
+        return Fraction(d) if spell == 1 else int(d)
+
+    return Finite(tuple(tuple(entry(i, j) for j in range(6)) for i in range(6)))
+
+
+_SPELLINGS = [False, True, 0, 1, Fraction(2, 2), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]
+_SIGNED = [False, True, -2, 3, Fraction(2, 2), Fraction(-1, 3), Fraction(5, 2)]
+_FINITE = _mixed_line_finite()
+_EXACT_POTENTIAL_CASES = {
+    "interval": (Interval(1), (1, 2, 3), [IntervalPoint(t) for t in _SPELLINGS]),
+    "interval-half": (Interval(Fraction(1, 2)), (2, 4), [IntervalPoint(t) for t in _SPELLINGS]),
+    "E1": (Euclidean(1), (1, 2, 3), [EuclideanPoint((x,)) for x in _SIGNED]),
+    "E2": (
+        Euclidean(2),
+        (2, 4),
+        [
+            EuclideanPoint((x, y))
+            for x in _SIGNED[::2]
+            for y in (True, 0, Fraction(2, 2), Fraction(-2, 3))
+        ],
+    ),
+    "finite": (_FINITE, (1, 2), [FinitePoint(k) for k in range(6)]),
+    "product-interval": (
+        Product(1, 1, Interval(1)),
+        (1, 2),
+        [ProductPoint(t, IntervalPoint(x)) for t in _SPELLINGS[::3] for x in _SPELLINGS[1::2]],
+    ),
+    "product-E2": (
+        Product(Fraction(1, 2), 2, Euclidean(2)),
+        (2,),
+        [
+            ProductPoint(t, EuclideanPoint((x, y)))
+            for t in (0, True, Fraction(1, 3))
+            for x in (-2, Fraction(2, 2))
+            for y in (False, Fraction(1, 2))
+        ],
+    ),
+    "product-finite": (
+        Product(1, 1, _FINITE),
+        (1, 2),
+        [
+            ProductPoint(t, FinitePoint(k))
+            for t in (False, 1, Fraction(2, 2), Fraction(1, 2))
+            for k in range(0, 6, 2)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_EXACT_POTENTIAL_CASES))
+def test_exact_potentials_match_the_fraction_hang_of_the_final_tree(kind):
+    # the potentials are the kernel's integer ones over the cost unit, each an
+    # int or a Fraction just as Fraction arithmetic on powered_distance makes it
+    space, orders, candidates = _EXACT_POTENTIAL_CASES[kind]
+    rng = make_rng((91, sorted(_EXACT_POTENTIAL_CASES).index(kind)))
+    types = set()
+    for _ in range(15):
+        mu, nu = _shared_measures(rng, space, candidates)
+        for p in orders:
+            result = solve_wasserstein(mu, nu, p=p)
+            assert result.arithmetic == "exact"
+            want = _tree_hung_potentials(mu, nu, p)
+            assert repr(result.dual_potentials) == repr(want), (kind, p)
+            u, v = result.dual_potentials
+            types.update(type(x) for x in u[1:] + v)
+    assert types == {int, Fraction}, kind
