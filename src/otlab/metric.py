@@ -23,6 +23,7 @@ units straight from the coordinates, for the solver's exact path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +65,7 @@ __all__ = [
 ]
 
 _MAX_FINITE_POINTS = 256
+_MIN_NORMAL = sys.float_info.min  # the smallest normal float, about 2.2e-308
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +330,16 @@ class Euclidean(_CostMatrix):
     def _scaled_norm(self, a, b):
         """|a - b| as s * sqrt(sum((d / s)**2)), s the largest |d|, in floats.
 
-        No square here overflows, so this is the distance where ``_sq`` is
-        beyond the float range and the distance is not. It takes over only
-        there: elsewhere it may differ from ``math.sqrt`` of ``_sq`` in the
-        last digit. Tiny coordinates whose squares underflow are left as
-        ``_sq`` makes them.
+        No square here overflows or underflows, so this is the distance where
+        ``_sq`` is beyond the float range or below its normal floats and the
+        distance is not. It takes over only there (``_off_scale``): elsewhere
+        it may differ from ``math.sqrt`` of ``_sq`` in the last digit. A
+        difference that is itself below the normal floats keeps the precision
+        the float of it has.
         """
         deltas = [float(u - v) for u, v in zip(a.coords, b.coords)]
         s = max(abs(d) for d in deltas)
-        if s == math.inf:
+        if s == math.inf or s == 0.0:
             return s
         total = 0.0
         for d in deltas:
@@ -344,26 +347,38 @@ class Euclidean(_CostMatrix):
             total = total + r * r
         return s * math.sqrt(total)
 
+    def _float_sq(self, a, b):
+        """``_sq`` as a float, inf where an exact square is too large for one."""
+        try:
+            return float(self._sq(a, b))
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def _off_scale(sq, a, b):
+        """Whether the float square ``sq`` of |a - b| lost the distance.
+
+        It did when it overflowed, or when it fell below the normal floats
+        (to a subnormal or to 0) while a != b: its root then has fewer
+        digits than the distance, or none.
+        """
+        return sq == math.inf or (sq < _MIN_NORMAL and a.coords != b.coords)
+
     def distance(self, a, b):
         if self.dim == 1:
             return abs(a.coords[0] - b.coords[0])
-        try:
-            d = math.sqrt(float(self._sq(a, b)))
-        except OverflowError:  # an exact square too large for a float
-            d = math.inf
-        return self._scaled_norm(a, b) if d == math.inf else d
+        sq = self._float_sq(a, b)
+        return self._scaled_norm(a, b) if self._off_scale(sq, a, b) else math.sqrt(sq)
 
     def powered_distance(self, a, b, p):
         if self.dim == 1:
             return powered_abs(a.coords[0] - b.coords[0], p)
-        sq = self._sq(a, b)
         if p == int(p) and int(p) % 2 == 0:
-            return sq ** (int(p) // 2)
-        try:
-            sq = float(sq)
-        except OverflowError:  # an exact square too large for a float
-            sq = math.inf
-        if sq == math.inf:  # the square overflowed; the distance may not have
+            # the cost is a power of the square itself; where the square
+            # underflows, so does the cost
+            return self._sq(a, b) ** (int(p) // 2)
+        sq = self._float_sq(a, b)
+        if self._off_scale(sq, a, b):  # the distance may fit where its square does not
             return self._scaled_norm(a, b) ** float(p)
         return sq ** (float(p) / 2.0)
 
@@ -392,13 +407,16 @@ class Euclidean(_CostMatrix):
             e = _integral(p)
             if e is not None and e % 2 == 0:
                 return costs
-            # a cell whose square overflowed takes the scalar code, which
-            # scales it. No |d| exceeds ``reach``, so below 1e300 no square
-            # can overflow and the matrix is not scanned for one.
+            # a cell whose square overflowed or fell below the normal floats
+            # takes the scalar code, which scales it where a != b. No |d|
+            # exceeds ``reach``, so below 1e300 no square can overflow and
+            # the matrix is not scanned for one.
             reach = float(np.abs(ys).max(initial=0.0)) + float(np.abs(zs).max(initial=0.0))
+            off = sq < _MIN_NORMAL
             if not reach * reach * self.dim < 1e300:
-                for i, j in np.argwhere(np.isinf(sq)).tolist():
-                    costs[i, j] = self.powered_distance(rows[i], cols[j], p)
+                off |= np.isinf(sq)
+            for i, j in np.argwhere(off).tolist():
+                costs[i, j] = self.powered_distance(rows[i], cols[j], p)
             return costs
 
     def _unit_costs(self, rows, cols, p):

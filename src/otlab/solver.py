@@ -8,10 +8,16 @@ van de Panne, Paris & Heidrich 2011): the scan resumes where the last one
 stopped, wraps round the m*n cells, and takes the most negative reduced cost
 in the first block of max(isqrt(m*n), 10) cells that has one. Cunningham's
 (1976) leaving rule keeps the tree strongly feasible, which rules out
-cycling on degenerate pivots. The spanning-tree basis is kept as parent,
-depth and adjacency arrays over the m + n row and column nodes, rooted at
-row 0: a pivot finds its cycle by walking up from both ends of the entering
-cell, and recomputes potentials only on the subtree it re-hangs. Exact
+cycling on degenerate pivots. The spanning-tree basis is kept in arrays
+indexed by node, rows 0..m-1 and columns m..m+n-1, rooted at row 0: each
+node's parent, depth and neighbours, and the flow of the basic cell that
+links it to its parent. The northwest-corner staircase is a path from row 0,
+so the starting tree is built in one pass over its cells. A pivot walks up
+from both ends of the entering cell to the apex of its cycle, reading the
+flows by node and picking the leaving cell on the way. It then turns round
+the parent links from the entering cell's end up to the node the leaving
+cell cuts off, each flow moving to its link's new child, and recomputes
+depths and potentials only on the subtree it re-hangs. Exact
 inputs (int/Fraction masses and costs) are recognized automatically: masses
 are scaled by the lcm of their denominators, and the space builds the costs
 in integer units straight from the coordinates, so the pivots and the
@@ -212,29 +218,12 @@ def _flow_cost(flows, cost):
     return total
 
 
-def _hang(top, adj, parent, depth, u, v, cost, m):
-    """Set parent, depth and potential of every tree node below ``top``.
-
-    Tree nodes are rows 0..m-1 and columns m..m+n-1; ``top`` already carries
-    its own. Each node below gets ``cost - potential of its parent``, the same
-    operations along the same unique path from row 0 whatever order the tree
-    was built in, so float potentials are bit-identical to a full re-solve.
-    """
-    stack = [top]
-    while stack:
-        node = stack.pop()
-        up = parent[node]
-        below = depth[node] + 1
-        for nb in adj[node]:
-            if nb == up:
-                continue
-            parent[nb] = node
-            depth[nb] = below
-            if nb < m:
-                u[nb] = cost[nb][node - m] - v[node - m]
-            else:
-                v[nb - m] = cost[node][nb - m] - u[node]
-            stack.append(nb)
+def _fill_flows(flows, parent, flow, m):
+    """Set each basic cell (i, j) of ``flows`` to its child node's flow; return ``flows``."""
+    for cell in flows:
+        i, j = cell
+        flows[cell] = flow[i] if parent[i] == m + j else flow[m + j]
+    return flows
 
 
 def _transport_simplex(a, b, cost, m, n, scale, budget):
@@ -242,19 +231,47 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
 
     ``scale`` is None for float inputs. For integer units it is the number of
     flow-times-cost units in one unit of real cost, used to report a stall.
+
+    Tree nodes are rows 0..m-1 and columns m..m+n-1, rooted at row 0. Each
+    node other than the root holds its parent, its depth and the flow of the
+    basic cell that links it to its parent. A node's potential is the cost of
+    that cell minus its parent's potential, the same operations along the
+    same unique path from row 0 however the tree was reached, so float
+    potentials are bit-identical to a full re-solve. The flows dict comes
+    back in the order the cells joined the basis: the northwest cells, then
+    the entering cells in pivot order, less those that left.
     """
-    flows = _northwest_corner(a, b, m, n)
+    nodes = m + n
+    parent = [-1] * nodes
+    depth = [0] * nodes
+    flow = [0] * nodes
+    adj = [[] for _ in range(nodes)]
     basic = [[False] * n for _ in range(m)]
-    adj = [[] for _ in range(m + n)]
-    for i, j in flows:
-        basic[i][j] = True
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    parent = [-1] * (m + n)
-    depth = [0] * (m + n)
     u = [0] * m
     v = [0] * n
-    _hang(0, adj, parent, depth, u, v, cost, m)
+    # The basic cells in the returned dict's order; the flows themselves are
+    # kept on the nodes and filled in when the dict is handed out.
+    flows = _northwest_corner(a, b, m, n)
+    # The northwest staircase is a path from row 0: each cell after the first
+    # moves the row or the column by one, and that row or column is the new
+    # node, one deeper than the last.
+    last = 0
+    for node_depth, ((i, j), f) in enumerate(flows.items(), 1):
+        if i == last:
+            node = m + j
+            parent[node] = i
+            v[j] = cost[i][j] - u[i]
+        else:
+            node = i
+            parent[i] = m + j
+            u[i] = cost[i][j] - v[j]
+        depth[node] = node_depth
+        flow[node] = f
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        basic[i][j] = True
+        last = i
+
     threshold = -_ENTERING_EPS if scale is None else 0
     cells = m * n
     block = max(math.isqrt(cells), 10)
@@ -263,7 +280,7 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
     while True:
         # Block search: scan from (i, j), wrapping round the cells, and take
         # the most negative reduced cost of the first block that has one.
-        entering = None
+        ei = -1
         best = threshold
         left = block
         scanned = 0
@@ -276,7 +293,7 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
                 d = row[k] - ui - v[k]
                 if d < best and not row_basic[k]:
                     best = d
-                    entering = (i, k)
+                    ei, ej = i, k
             scanned += stop - j
             left -= stop - j
             j = stop
@@ -284,81 +301,112 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
                 j = 0
                 i = i + 1 if i < m - 1 else 0
             if left == 0:
-                if entering is not None:
+                if ei >= 0:
                     break
                 left = block
-        if entering is None:
-            return flows, pivots, u, v, adj
+        if ei < 0:
+            return _fill_flows(flows, parent, flow, m), pivots, u, v, adj
         if pivots >= budget:
-            current = _flow_cost(flows, cost)
+            current = _flow_cost(_fill_flows(flows, parent, flow, m), cost)
             raise SolverStallError(
                 f"pivot budget {budget} exhausted before optimality",
                 pivots=pivots,
                 current_cost=current if scale is None else Fraction(current, scale),
             )
-        ei, ej = entering
         # Walk up from both ends of the entering cell to the apex where they
         # meet. Round the cycle, cells lose and gain theta in turn, and the
         # cell next to the entering one loses on either side, so the losing
         # links are a row's link to its parent on the row (x) side and a
-        # column's on the column (y) side. Each losing cell is kept with the
-        # child node of its link, in walk-up order.
-        minus_x = []
-        minus_y = []
-        plus = [entering]
+        # column's on the column (y) side.
+        #
+        # Cunningham's leaving rule: walking the cycle from the apex in the
+        # entering cell's direction (down the x side, across the entering
+        # cell, up the y side), the last cell to reach zero leaves. Walking
+        # up, that is the last minimum met on the y side, else the first on
+        # the x side. It keeps the tree strongly feasible: every basic cell
+        # whose column end is the child carries positive flow.
+        path_x = []
+        path_y = []
+        theta_x = theta_y = math.inf
         x, y = ei, m + ej
         while x != y:
             if depth[x] >= depth[y]:
-                up = parent[x]
-                if x < m:
-                    minus_x.append(((x, up - m), x))
-                else:
-                    plus.append((up, x - m))
-                x = up
+                path_x.append(x)
+                if x < m and flow[x] < theta_x:
+                    theta_x = flow[x]
+                    cut_x = x
+                x = parent[x]
             else:
-                up = parent[y]
-                if y < m:
-                    plus.append((y, up - m))
-                else:
-                    minus_y.append(((up, y - m), y))
-                y = up
-        # Cunningham's leaving rule: walking the cycle from the apex in the
-        # entering cell's direction (down the x side, across the entering
-        # cell, up the y side), the last cell to reach zero leaves. That is
-        # the first one in this order: y side from the apex down, then x side
-        # from the entering cell up. It keeps the tree strongly feasible:
-        # every basic cell whose column end is the child carries positive flow.
-        theta = None
-        for cell, child in minus_y[::-1] + minus_x:
-            f = flows[cell]
-            if theta is None or f < theta:
-                theta = f
-                leaving = cell
-                cut = child
-        flows[entering] = 0 * theta
-        for cell in plus:
-            flows[cell] = flows[cell] + theta
-        for cell, _child in minus_x + minus_y:
-            flows[cell] = flows[cell] - theta
-        del flows[leaving]
-        basic[leaving[0]][leaving[1]] = False
-        basic[ei][ej] = True
+                path_y.append(y)
+                if y >= m and flow[y] <= theta_y:
+                    theta_y = flow[y]
+                    cut_y = y
+                y = parent[y]
+        if theta_y <= theta_x:
+            theta, cut, top, hook, path = theta_y, cut_y, m + ej, ei, path_y
+        else:
+            theta, cut, top, hook, path = theta_x, cut_x, ei, m + ej, path_x
+        for node in path_x:
+            if node < m:
+                flow[node] = flow[node] - theta
+            else:
+                flow[node] = flow[node] + theta
+        for node in path_y:
+            if node < m:
+                flow[node] = flow[node] + theta
+            else:
+                flow[node] = flow[node] - theta
+        # The leaving cell links ``cut`` to its parent. The entering cell's
+        # end ``top`` lost its way to row 0 with it and hangs below ``hook``
+        # instead: the links from top up to cut turn round, each flow moving
+        # to the link's new child, and the entering flow theta goes to top.
         up = parent[cut]
+        below, carried = hook, theta
+        for node in path:
+            parent[node], below = below, node
+            flow[node], carried = carried, flow[node]
+            if node == cut:
+                break
+        li, lj = (cut, up - m) if cut < m else (up, cut - m)
+        basic[li][lj] = False
+        basic[ei][ej] = True
+        del flows[(li, lj)]
+        flows[(ei, ej)] = None
         adj[cut].remove(up)
         adj[up].remove(cut)
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
-        # the end of the entering cell on the cut's side lost its way to row 0;
-        # it re-hangs below the other end
-        if cut < m:
-            top, hook = ei, m + ej
+        # Depths and potentials below top: a row's children take
+        # row[c] - u, a column's children take cost[r][c] - v. A leaf, with
+        # no neighbour but its parent, has nothing below it to visit.
+        if top < m:
             u[ei] = cost[ei][ej] - v[ej]
         else:
-            top, hook = m + ej, ei
             v[ej] = cost[ei][ej] - u[ei]
-        parent[top] = hook
         depth[top] = depth[hook] + 1
-        _hang(top, adj, parent, depth, u, v, cost, m)
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            below = depth[node] + 1
+            if node < m:
+                row = cost[node]
+                ui = u[node]
+                for c in adj[node]:
+                    if c != up:
+                        depth[c] = below
+                        v[c - m] = row[c - m] - ui
+                        if len(adj[c]) > 1:
+                            stack.append(c)
+            else:
+                k = node - m
+                vk = v[k]
+                for r in adj[node]:
+                    if r != up:
+                        depth[r] = below
+                        u[r] = cost[r][k] - vk
+                        if len(adj[r]) > 1:
+                            stack.append(r)
         pivots += 1
 
 
@@ -587,8 +635,12 @@ def _kr_witness(mu, nu, result):
     the union of the supports.
 
     On an exact result the c-transform runs in integers: the distances come
-    from the space's integer units at p = 1 over supp(mu) | supp(nu) x
-    supp(mu), and the potentials are scaled to their common unit L with them.
+    from the space's integer units at p = 1, and the potentials are scaled to
+    their common unit L with them. On a certified one, f at a point of
+    supp(nu) outside supp(mu) is that column's potential v_k: dual
+    feasibility gives d(y_j, z_k) - u_j >= v_k for every j, and the column's
+    tree cell gives equality. So the distances are built over supp(mu) x
+    supp(mu) only; an uncertified result builds them over the whole union.
     The net masses are taken in the measures' joint mass units (scale Lm), so
     the dual value is one ``Fraction(sum, L * Lm)`` of an integer sum; each
     f(z) is a Fraction. A float result, or a space whose units are not exact
@@ -598,10 +650,12 @@ def _kr_witness(mu, nu, result):
     digit.
     """
     space = mu.space
-    u = result.dual_potentials[0]
+    u, v = result.dual_potentials
     rows = mu.support
     points, nu_at = _union(mu, nu)
-    units = space._unit_costs(points, rows, 1) if result.arithmetic == "exact" else None
+    units = None
+    if result.arithmetic == "exact":
+        units = space._unit_costs(rows if result.certified else points, rows, 1)
     if units is None:
         values = []
         for z in points:
@@ -616,11 +670,15 @@ def _kr_witness(mu, nu, result):
             value = value + f * net
     else:
         costs, scale = units
+        # the union points past the costed rows take their v_k, in union order
+        known = [v[k] for k, at in enumerate(nu_at) if at >= len(costs)]
         u_units, Lu = integer_units(u)
-        L = math.lcm(scale, Lu)
+        v_units, Lv = integer_units(known)
+        L = math.lcm(scale, Lu, Lv)
         k = L // scale
         u_units = [x * (L // Lu) for x in u_units]
         f_units = [min(c * k - uj for c, uj in zip(row, u_units)) for row in costs]
+        f_units += [x * (L // Lv) for x in v_units]
         values = [Fraction(x, L) for x in f_units]
         a_units, b_units, Lm = _joint_units(mu._mass_units, nu._mass_units)
         net = _net_mass(a_units, b_units, nu_at, len(points))

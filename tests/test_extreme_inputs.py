@@ -145,6 +145,54 @@ def test_euclidean_distance_whose_square_overflows_is_kept(p):
             assert result.cost == pytest.approx(1e200, rel=1e-12) and result.certified
 
 
+TINY = EuclideanPoint((3e-170, 4e-170))  # 5e-170 from the origin, whose square underflows to 0
+SUBNORMAL = EuclideanPoint((1e-155, -1e-155))  # its square from the origin is a subnormal
+
+
+@pytest.mark.parametrize("p", [1, 1.5])
+def test_euclidean_distance_whose_square_underflows_is_kept(p):
+    # the squares of these differences fall below the normal floats, to 0 or
+    # to a subnormal with few digits left; the distances do not. The scalar
+    # code and the broadcast scale them alike, bit for bit
+    space = Euclidean(2)
+    origin = EuclideanPoint((0.0, 0.0))
+    assert space.distance(origin, TINY) == pytest.approx(5e-170, rel=1e-15, abs=0)
+    assert space.distance(SUBNORMAL, origin) == pytest.approx(2**0.5 * 1e-155, rel=1e-15, abs=0)
+    rows = [origin, TINY, SUBNORMAL, EuclideanPoint((1.5, -2.0))]
+    cols = [TINY, origin, EuclideanPoint((1.5, -2.0)), SUBNORMAL, origin]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = space.cost_matrix(rows, cols, p)
+        assert costs == [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+        assert costs[0][0] == costs[1][1] == pytest.approx(5e-170 ** float(p), rel=1e-14, abs=0)
+        assert costs[0][3] == pytest.approx((2**0.5 * 1e-155) ** float(p), rel=1e-14, abs=0)
+        assert costs[0][1] == costs[1][0] == 0.0  # equal points stay at 0
+        city = Product(1, 1, space)
+        points = [ProductPoint(0.5, y) for y in rows]
+        city_costs = city.cost_matrix(points, points[::-1], p)
+        want = [[city.powered_distance(y, z, p) for z in points[::-1]] for y in points]
+        assert city_costs == want
+        assert city_costs[1][3] == pytest.approx(costs[1][1], rel=1e-14, abs=0)
+        assert city_costs[2][3] == pytest.approx(costs[0][3], rel=1e-14, abs=0)
+
+
+def test_w1_between_diracs_closer_than_a_normal_square_is_not_zero():
+    space = Euclidean(2)
+    exact_tiny = (Fraction(3, 10**170), Fraction(4, 10**170))
+    for origin, point in (((0.0, 0.0), TINY.coords), ((0, 0), exact_tiny)):
+        mu = DiscreteMeasure(space, ((EuclideanPoint(origin), 1),))
+        nu = DiscreteMeasure(space, ((EuclideanPoint(point), 1),))
+        result = solve_wasserstein(mu, nu, p=1)
+        assert result.cost == pytest.approx(5e-170, rel=1e-15, abs=0) and result.certified
+        assert space.distance(mu.support[0], nu.support[0]) == result.cost
+    # at an even p the cost is the square itself, and it underflows as
+    # 2.5e-339 does; an exact difference below every float is 0.0 too
+    assert space.powered_distance(EuclideanPoint((0.0, 0.0)), TINY, 2) == 0.0
+    below = EuclideanPoint((Fraction(1, 10**400), 0))
+    assert space.distance(EuclideanPoint((0, 0)), below) == 0.0
+    assert space.powered_distance(EuclideanPoint((0, 0)), below, 1) == 0.0
+
+
 def test_euclidean_power_of_a_scaled_distance_beyond_the_float_range_is_a_domain_error():
     mu = DiscreteMeasure(Euclidean(2), ((EuclideanPoint((0.0, 0.0)), 1.0),))
     nu = DiscreteMeasure(Euclidean(2), ((EuclideanPoint((-1e200, 0.0)), 1.0),))

@@ -1,5 +1,6 @@
 """Transportation solver: frozen values, certificates, oracles, duals."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -585,3 +586,55 @@ def test_exact_potentials_match_the_fraction_hang_of_the_final_tree(kind):
             u, v = result.dual_potentials
             types.update(type(x) for x in u[1:] + v)
     assert types == {int, Fraction}, kind
+
+
+def _full_c_transform(mu, nu, u):
+    """f(z) = min_j (d(z, y_j) - u_j) as a Fraction at every union point, costing every point."""
+    space = mu.space
+    points = _list_scan_union(mu, nu)
+    values = [
+        Fraction(min(space.powered_distance(z, y, 1) - uj for y, uj in zip(mu.support, u)))
+        for z in points
+    ]
+    value = sum((f * (nu.mass_of(z) - mu.mass_of(z)) for z, f in zip(points, values)), Fraction(0))
+    return tuple(zip(points, values)), value
+
+
+@pytest.mark.parametrize("kind", ("interval", "E1", "finite", "product-interval", "product-finite"))
+def test_exact_witness_costs_supp_mu_only_and_matches_the_full_c_transform(kind, monkeypatch):
+    # on a certified exact solve f at a point of nu alone is its column's
+    # potential, so only supp(mu) x supp(mu) is costed; the values and the
+    # dual value are the full c-transform's, byte for byte
+    space, _orders, candidates = _EXACT_POTENTIAL_CASES[kind]
+    costed = []
+    unit_costs = type(space)._unit_costs
+
+    def counted(self, rows, cols, p):
+        costed.append((len(rows), len(cols), p))
+        return unit_costs(self, rows, cols, p)
+
+    rng = make_rng((97, sorted(_EXACT_POTENTIAL_CASES).index(kind)))
+    nu_alone = 0
+    for _ in range(15):
+        mu, nu = _shared_measures(rng, space, candidates)
+        result = solve_wasserstein(mu, nu, p=1)
+        assert result.arithmetic == "exact" and result.certified
+        with monkeypatch.context() as patch:
+            patch.setattr(type(space), "_unit_costs", counted)
+            costed.clear()
+            witness = _kr_witness(mu, nu, result)
+        m = len(mu.support)
+        assert costed == [(m, m, 1)]
+        assignments, value = _full_c_transform(mu, nu, result.dual_potentials[0])
+        assert repr(witness.assignments) == repr(assignments)
+        assert repr(witness.value) == repr(value)
+        assert witness.value == result.powered_cost
+        # an uncertified result costs every union point, as before
+        with monkeypatch.context() as patch:
+            patch.setattr(type(space), "_unit_costs", counted)
+            costed.clear()
+            unchecked = _kr_witness(mu, nu, dataclasses.replace(result, certified=False))
+        assert costed == [(len(assignments), m, 1)]
+        assert repr(unchecked) == repr(witness)
+        nu_alone += len(assignments) - m
+    assert nu_alone > 0
