@@ -9,6 +9,11 @@ One rule holds for every exponent here and in the metric layer: an exponent
 equal to an integer is that integer, so ``2``, ``Fraction(4, 2)`` and ``2.0``
 give the same value of the same type. Only a non-integral exponent such as
 ``3/2`` or ``1.5`` takes the float path.
+
+One rule decides how a check compares: :func:`tolerance` allows 0 for an
+exact value and ``tol`` for a float, so every check is one comparison such as
+``abs(total - 1) > tolerance(total)``. A sum is exact exactly when all its
+terms are, so exact values are compared exactly, even next to floats.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .errors import DomainError
 
 __all__ = [
     "DEFAULT_TOL",
+    "tolerance",
     "is_exact",
     "all_exact",
     "parse_number",
@@ -41,6 +47,11 @@ def is_exact(x) -> bool:
 
 def all_exact(values) -> bool:
     return all(isinstance(v, _EXACT_TYPES) for v in values)
+
+
+def tolerance(value, tol=DEFAULT_TOL):
+    """The allowance a check on ``value`` gets: 0 when it is exact, else ``tol``."""
+    return 0 if isinstance(value, _EXACT_TYPES) else tol
 
 
 def parse_number(token: str, exact: bool = False):

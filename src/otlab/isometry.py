@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, FiberCollisionError, InvalidMeasureError, SpaceMismatchError
-from ._numbers import DEFAULT_TOL, all_exact
+from ._numbers import DEFAULT_TOL, all_exact, tolerance
 from .measure import (
     DiscreteMeasure,
     Disintegration,
@@ -122,11 +122,8 @@ class StepCDF:
                 raise DomainError("values must be strictly increasing from 0")
             prev = v
         last = vals[-1]
-        if all_exact(vals):
-            if last != 1:
-                raise DomainError(f"terminal value {last} must be exactly 1")
-        elif abs(last - 1.0) > DEFAULT_TOL:
-            raise DomainError(f"terminal value {last!r} must be 1 within {DEFAULT_TOL}")
+        if abs(last - 1) > tolerance(last):
+            raise DomainError(f"terminal value {last} must be 1 within {tolerance(last)}")
 
     def __call__(self, t):
         """F(t): cumulative mass at or left of t."""

@@ -18,7 +18,9 @@ from .errors import (
     ParseError,
     SpaceMismatchError,
 )
-from ._numbers import DEFAULT_TOL, all_exact, format_number, integer_units, is_exact, parse_number
+from ._numbers import (
+    DEFAULT_TOL, all_exact, format_number, integer_units, is_exact, parse_number, tolerance
+)
 from .metric import (
     Euclidean,
     EuclideanPoint,
@@ -104,11 +106,8 @@ class DiscreteMeasure:
         if not atoms:
             raise InvalidMeasureError("probability measure needs at least one atom")
         total = _total(atoms)
-        if all(is_exact(m) for _, m in atoms):
-            if total != 1:
-                raise InvalidMeasureError(f"masses sum to {total}, expected exactly 1")
-        elif abs(total - 1.0) > DEFAULT_TOL:
-            raise InvalidMeasureError(f"masses sum to {total!r}, expected 1 within {DEFAULT_TOL}")
+        if abs(total - 1) > tolerance(total):
+            raise InvalidMeasureError(f"masses sum to {total}, expected 1 within {tolerance(total)}")
 
     @cached_property
     def support(self):
@@ -158,11 +157,8 @@ class SubProbabilityMeasure:
         atoms = _canonical_atoms(self.space, self.atoms)
         object.__setattr__(self, "atoms", atoms)
         total = _total(atoms)
-        if all(is_exact(m) for _, m in atoms):
-            if total > 1:
-                raise InvalidMeasureError(f"sub-probability mass {total} exceeds 1")
-        elif total > 1.0 + DEFAULT_TOL:
-            raise InvalidMeasureError(f"sub-probability mass {total!r} exceeds 1")
+        if total > 1 + tolerance(total):
+            raise InvalidMeasureError(f"sub-probability mass {total} exceeds 1 + {tolerance(total)}")
 
     @property
     def total_mass(self):

@@ -615,10 +615,16 @@ class Product(_CostMatrix):
                 return None
             base = self.base._float_costs([y.x for y in rows], [z.x for z in cols], self.q)
             return None if base is None else fiber + base
-        costs = self._float_costs(rows, cols, self.q)
-        if costs is None:
+        sums = self._float_costs(rows, cols, self.q)
+        if sums is None:
             return None
-        return _power_cells(np.abs(_root_cells(costs, self.q)), p)
+        costs = _power_cells(np.abs(_root_cells(sums, self.q)), p)
+        if self.q != 1:
+            # a sum below the normal floats takes the scalar code, which
+            # rescales it where the points differ
+            for i, j in np.argwhere(sums < _MIN_NORMAL).tolist():
+                costs[i, j] = self.powered_distance(rows[i], cols[j], p)
+        return costs
 
     def _unit_costs(self, rows, cols, p):
         if p == self.q:
@@ -643,7 +649,27 @@ class Product(_CostMatrix):
         return [[c**e for c in row] for row in costs], scale**e
 
     def distance(self, a, b):
-        return root(self.powered_distance(a, b, self.q), self.q)
+        total = self.powered_distance(a, b, self.q)
+        if self.q != 1 and total < _MIN_NORMAL and a != b:
+            return self._scaled_distance(a, b)
+        return root(total, self.q)
+
+    def _scaled_distance(self, a, b):
+        """The distance as s * ((f / s)**q + (d / s)**q) ** (1/q), in floats.
+
+        f is the fiber distance |t - t'| ** alpha, d the base distance and s
+        the larger of the two. Scaled by s, the larger term is 1, so this
+        keeps the distance where the sum of the q-th powers falls below the
+        normal floats while a != b. It takes over only there: elsewhere it
+        may differ from ``root`` of that sum in the last digit.
+        """
+        f = float(powered_abs(a.t - b.t, self.alpha))
+        d = float(self.base.distance(a.x, b.x))
+        s = max(f, d)
+        if s == 0.0:
+            return s
+        q = float(self.q)
+        return s * root((f / s) ** q + (d / s) ** q, q)
 
     def describe(self):
         return (

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from ._numbers import DEFAULT_TOL
+from ._numbers import DEFAULT_TOL, tolerance
 from .measure import (
     DiscreteMeasure,
     convex_combine,
@@ -265,11 +265,9 @@ def split_transport(mu, nu, subset, tol=DEFAULT_TOL):
     d1 = solve_wasserstein(mu1, nu1, p=1, tol=tol).cost
     d2 = solve_wasserstein(mu2, nu2, p=1, tol=tol).cost
     residual = res.cost - (lam * d1 + lam2 * d2)
-    exact = not isinstance(residual, float)
-    if (residual != 0) if exact else (abs(residual) > max(tol, 1e-8)):
-        raise InvariantError(
-            f"split additivity failed: residual {residual!r} beyond tolerance"
-        )
+    allowed = tolerance(residual, max(tol, 1e-8))
+    if abs(residual) > allowed:
+        raise InvariantError(f"split additivity failed: residual {residual} beyond {allowed}")
     return SplitTransport(
         lam=lam,
         mu1=mu1,

@@ -47,7 +47,7 @@ from .errors import (
     SolverStallError,
     SpaceMismatchError,
 )
-from ._numbers import DEFAULT_TOL, all_exact, format_number, integer_units, root
+from ._numbers import DEFAULT_TOL, format_number, integer_units, root, tolerance
 from .measure import _point_tokens
 
 __all__ = [
@@ -95,11 +95,8 @@ class Coupling:
                 if w < 0:
                     raise CouplingError(f"negative coupling weight {w!r}")
                 total = total + w
-        if all_exact(w for row in self.weights for w in row):
-            if total != 1:
-                raise CouplingError(f"coupling mass {total} is not exactly 1")
-        elif abs(total - 1.0) > DEFAULT_TOL:
-            raise CouplingError(f"coupling mass {total!r} differs from 1 beyond {DEFAULT_TOL}")
+        if abs(total - 1) > tolerance(total):
+            raise CouplingError(f"coupling mass {total} differs from 1 beyond {tolerance(total)}")
 
     @classmethod
     def _solved(cls, space, row_points, col_points, weights):
@@ -138,18 +135,17 @@ class Coupling:
 
 
 def validate_coupling(pi, mu, nu, tol=DEFAULT_TOL):
-    """Check that ``pi`` couples ``mu`` with ``nu`` (marginals within tol)."""
+    """Check that ``pi`` couples ``mu`` with ``nu``: exact marginals exactly, others within tol."""
     if pi.space != mu.space or mu.space != nu.space:
         raise SpaceMismatchError("coupling and measures must share one space")
     if pi.row_points != mu.support or pi.col_points != nu.support:
         raise CouplingError("coupling supports do not match the measure supports")
-    exact = all_exact(w for row in pi.weights for w in row) and all_exact(mu.masses + nu.masses)
-    for got, want in zip(pi.row_sums(), mu.masses):
-        if (got != want) if exact else (abs(got - want) > tol):
-            raise CouplingError(f"row marginal {got!r} differs from measure mass {want!r}")
-    for got, want in zip(pi.col_sums(), nu.masses):
-        if (got != want) if exact else (abs(got - want) > tol):
-            raise CouplingError(f"column marginal {got!r} differs from measure mass {want!r}")
+    sides = (("row", pi.row_sums(), mu.masses), ("column", pi.col_sums(), nu.masses))
+    for side, sums, masses in sides:
+        for got, want in zip(sums, masses):
+            allowed = tolerance(got - want, tol)
+            if abs(got - want) > allowed:
+                raise CouplingError(f"{side} marginal {got} differs from mass {want} beyond {allowed}")
 
 
 def _check_plan_points(pi, p):
@@ -418,7 +414,8 @@ class TransportResult:
     p-th root (the Wasserstein distance). ``dual_potentials`` holds the LP
     duals (u over the row support, v over the column support) anchored at
     u[0] = 0; ``certified`` records that dual feasibility, complementary
-    slackness, and a zero duality gap were verified on the returned plan.
+    slackness, and a zero duality gap were verified on the returned plan:
+    exactly on an exact solve, within the solve's ``tol`` on a float one.
     ``arithmetic`` is ``"exact"`` when the masses and every cost d**p were
     int/Fraction and the solve ran in exact arithmetic, else ``"float"``:
     exact inputs whose powered distances are not exact come back float.
@@ -434,27 +431,23 @@ class TransportResult:
     arithmetic: str
 
 
-def _certify(a, b, cost, flows, u, v, m, n, exact, tol):
+def _certify(a, b, cost, flows, u, v, m, n, primal, tol):
+    """Whether u, v prove the flows of cost ``primal`` optimal, each check within ``tol``."""
     gap_total = 0
     for i in range(m):
         gap_total = gap_total + a[i] * u[i]
     for j in range(n):
         gap_total = gap_total + b[j] * v[j]
-    primal = 0
     for (i, j), f in flows.items():
-        primal = primal + f * cost[i][j]
-        slack = cost[i][j] - u[i] - v[j]
-        if (slack != 0 and f != 0) if exact else (f > tol and abs(slack) > tol):
+        if f > tol and abs(cost[i][j] - u[i] - v[j]) > tol:
             return False
     for i in range(m):
         ui = u[i]
         row = cost[i]
         for j in range(n):
-            slack = row[j] - ui - v[j]
-            if (slack < 0) if exact else (slack < -tol):
+            if row[j] - ui - v[j] < -tol:
                 return False
-    diff = gap_total - primal
-    return (diff == 0) if exact else (abs(diff) <= tol)
+    return abs(gap_total - primal) <= tol
 
 
 def _joint_units(mass_a, mass_b):
@@ -496,28 +489,21 @@ def _int_nodes(space, rows, cols, adj, m):
 def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
-    With int/Fraction masses and every cost d**p exact, the space builds the
-    m x n costs in integer units from the coordinates (``_unit_costs``), and
-    the masses' integer units come cached on each measure. The reported
-    potentials are the kernel's integer potentials over the cost unit Lc: a
-    potential is the int ``x // Lc`` when every cell on its tree path from
-    row 0 has an int cost, and ``Fraction(x, Lc)`` otherwise, the type
-    Fraction arithmetic along that path would give it. A cell's cost is an
-    int when none of the exact values it is built from (coordinates, or the
-    matrix entry of a ``Finite`` space) is a Fraction; the space answers
-    that on the m + n - 1 tree cells only (``_int_cost``). Any other input
-    takes the space's
-    ``cost_matrix``: broadcast in numpy when every coordinate is a float,
-    bit-identical to ``powered_distance`` cell by cell, and built cell by
-    cell otherwise.
-    Runs the transportation simplex from the northwest-corner plan, with
-    block-search pricing on strongly feasible trees. The pivot budget
-    defaults to 10 * m * n; exhausting it raises :class:`SolverStallError`
-    rather than returning an approximation. Exact mass/cost inputs produce
-    exact Fractions and an exactly certified optimum; the result's
-    ``arithmetic`` says which arithmetic the solve ran in. Where several
-    plans are optimal, which one comes back (and its potentials) is up to
-    the pivot rule; the cost is not.
+    Both arithmetics take one path: build the problem, run the
+    transportation simplex (northwest-corner start, block-search pricing on
+    strongly feasible trees), cost the flows, certify, and write the plan.
+    With int/Fraction masses and every cost d**p exact, the problem is in
+    integer units: the masses' units cached on each measure and the space's
+    ``_unit_costs``. The certificate then allows ``tolerance(powered, tol)``,
+    which is 0, so ``certified`` is exact; the plan and cost become Fractions
+    once, and each potential is the int or the Fraction that Fraction
+    arithmetic along its tree path would give it (``_int_nodes``). Any other
+    input takes the space's ``cost_matrix`` and is certified within ``tol``.
+    The pivot budget defaults to 10 * m * n; exhausting it raises
+    :class:`SolverStallError` rather than returning an approximation. The
+    result's ``arithmetic`` says which arithmetic the solve ran in. Where
+    several plans are optimal, which one comes back (and its potentials) is
+    up to the pivot rule; the cost is not.
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
@@ -531,42 +517,31 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     mass_b = nu._mass_units
     # the measures validated their points and p is checked above
     units = None if mass_a is None or mass_b is None else space._unit_costs(rows, cols, p)
-    exact = units is not None
-    budget = 10 * m * n if pivot_budget is None else pivot_budget
-    weights = [[0] * n for _ in range(m)]
-
-    if exact:
+    if units is None:
+        a, b, cost, L, scale = mu.masses, nu.masses, space.cost_matrix(rows, cols, p), None, None
+    else:
         # pivot and certify on integers: masses times L and costs times Lc,
         # so flow-times-cost sums are in units of 1 / (L * Lc)
-        cost_units, Lc = units
-        a_units, b_units, L = _joint_units(mass_a, mass_b)
-        flows_units, pivots, u_units, v_units, adj = _transport_simplex(
-            a_units, b_units, cost_units, m, n, L * Lc, budget
-        )
-        certified = _certify(
-            a_units, b_units, cost_units, flows_units, u_units, v_units, m, n, True, tol
-        )
-        powered = Fraction(_flow_cost(flows_units, cost_units), L * Lc)
-        # the plan's nonzero cells become Fractions; the zero cells stay int 0
-        for (i, j), f in flows_units.items():
-            if f:
-                weights[i][j] = Fraction(f, L) if f % L else Fraction(f // L)
+        cost, Lc = units
+        a, b, L = _joint_units(mass_a, mass_b)
+        scale = L * Lc
+    budget = 10 * m * n if pivot_budget is None else pivot_budget
+    flows, pivots, u, v, adj = _transport_simplex(a, b, cost, m, n, scale, budget)
+    powered = _flow_cost(flows, cost)
+    certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol))
+    # the nonzero cells: integer flows become Fractions, float ones stay as they are
+    weights = [[0] * n for _ in range(m)]
+    for (i, j), f in flows.items():
+        if f:
+            weights[i][j] = f if L is None else (Fraction(f, L) if f % L else Fraction(f // L))
+    if scale is not None:
+        powered = Fraction(powered, scale)
         # the kernel's potentials are in cost units; each is reported as the
         # int or the Fraction that Fraction arithmetic along its tree path
         # from row 0 would make
         ints = _int_nodes(space, rows, cols, adj, m)
-        u = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(u_units, ints)]
-        v = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(v_units, ints[m:])]
-    else:
-        a = mu.masses
-        b = nu.masses
-        cost = space.cost_matrix(rows, cols, p)
-        flows, pivots, u, v, _adj = _transport_simplex(a, b, cost, m, n, None, budget)
-        certified = _certify(a, b, cost, flows, u, v, m, n, False, tol)
-        powered = _flow_cost(flows, cost)
-        for (i, j), f in flows.items():
-            if f != 0:
-                weights[i][j] = f
+        u = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(u, ints)]
+        v = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(v, ints[m:])]
 
     plan = Coupling._solved(space, rows, cols, tuple(tuple(r) for r in weights))
     return TransportResult(
@@ -577,7 +552,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         dual_potentials=(tuple(u), tuple(v)),
         certified=certified,
         pivots=pivots,
-        arithmetic="exact" if exact else "float",
+        arithmetic="float" if scale is None else "exact",
     )
 
 
@@ -748,8 +723,9 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
     """Search support cycles whose cyclic reassignment strictly lowers cost.
 
     Examines every cycle of length 2..max_cycle over the plan's positive
-    cells; a strict improvement beyond ``tol`` is returned as a witness
-    (the offending cells in order). The combinatorial size is guarded:
+    cells; a strict improvement beyond ``tol``, or any strict improvement
+    when the cycle's cost is exact, is returned as a witness (the offending
+    cells in order). The combinatorial size is guarded:
     cells**max_cycle beyond ``budget`` raises instead of running forever.
     """
     if max_cycle < 2:
@@ -769,6 +745,7 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
             for idx in subset:
                 j, k, _ = cells[idx]
                 base = base + cost[j][k]
+            bound = base - tolerance(base, tol)
             first = subset[0]
             for rest in itertools.permutations(subset[1:]):
                 order = (first,) + rest
@@ -778,7 +755,7 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
                     j = cells[idx][0]
                     k_next = cells[order[(pos + 1) % L]][1]
                     swapped = swapped + cost[j][k_next]
-                if swapped < base - tol:
+                if swapped < bound:
                     witness = tuple(
                         (pi.row_points[cells[idx][0]], pi.col_points[cells[idx][1]])
                         for idx in order

@@ -6,6 +6,7 @@ mixed int/float coordinates take the scalar code cell by cell.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -182,3 +183,36 @@ def test_coupling_cost_rejects_a_foreign_point():
     outside = Coupling(space, (good,), (IntervalPoint(1.5),), ((1.0,),))
     with pytest.raises(SpaceMismatchError):
         coupling_cost(outside, 1)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in sorted(SPACES) if n.startswith(("product-q2", "product-q3")) and "exact" not in n]
+)
+def test_product_cells_whose_sum_underflows_match_powered_distance(name):
+    # float points shrunk towards one corner, so that the sums of q-th powers
+    # of some distinct pairs fall below the normal floats; the broadcast must
+    # still run and agree with the scalar code bit for bit
+    space = SPACES[name]
+    rng = np.random.default_rng(sorted(SPACES).index(name) + 1000)
+    scale = 1e-310 if space.q == 2 else 1e-250
+
+    def shrink(point):
+        x = point.x
+        if isinstance(x, IntervalPoint):
+            x = IntervalPoint(x.t * scale)
+        elif isinstance(x, EuclideanPoint):
+            x = EuclideanPoint(tuple(c * 1e-200 for c in x.coords))
+        return ProductPoint(point.t * scale, x)
+
+    for p in EXPONENTS:
+        rows, cols = _points(rng, space, "float", 12, 15)
+        rows = [shrink(y) for y in rows[:6]] + rows[6:]
+        cols = [shrink(z) for z in cols[:9]] + cols[9:]
+        cols.append(ProductPoint(rows[0].t / 2, rows[0].x))  # a tiny fiber step
+        tiny = [
+            (y, z) for y in rows for z in cols
+            if y != z and space.powered_distance(y, z, space.q) < sys.float_info.min
+        ]
+        assert tiny
+        assert space._float_costs(rows, cols, p) is not None
+        assert_bit_identical(space, rows, cols, p)

@@ -6,6 +6,7 @@ with an error the command line maps to exit code 2, never a NaN, an inf or
 a raw ``OverflowError``.
 """
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -214,3 +215,45 @@ def test_cli_exits_2_on_costs_beyond_the_float_range(measure_file, capsys):
         assert entry(["dist", mu, nu, *PLANE_ARGS, "--order", "2", "--mode", mode]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "beyond the float range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 3])
+def test_product_distance_whose_sum_underflows_is_kept(p):
+    # at q = 2 the product adds |dt| and the base's square before its root;
+    # where that sum falls below the normal floats while the points differ,
+    # the scalar code and the broadcast rescale the distance alike, bit for bit
+    origin = ProductPoint(0.5, EuclideanPoint((0.0, 0.0)))
+    tiny = ProductPoint(0.5, TINY)
+    near = ProductPoint(0.5, SUBNORMAL)
+    far = ProductPoint(0.75, EuclideanPoint((1.5, -2.0)))
+    assert PLANE.distance(origin, tiny) == pytest.approx(5e-170, rel=1e-15, abs=0)
+    assert PLANE.distance(near, origin) == pytest.approx(2**0.5 * 1e-155, rel=1e-15, abs=0)
+    rows = [origin, tiny, near, far]
+    cols = [tiny, origin, far, near, origin]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = PLANE.cost_matrix(rows, cols, p)
+    assert costs == [[PLANE.powered_distance(y, z, p) for z in cols] for y in rows]
+    assert costs[0][0] == costs[1][1] == pytest.approx(5e-170 ** float(p), rel=1e-14, abs=0)
+    assert costs[0][1] == costs[1][0] == 0.0  # equal points stay at 0
+    # a cell whose sum is a normal float keeps the root of that sum
+    assert costs[0][2] == math.sqrt(PLANE.powered_distance(origin, far, 2)) ** float(p)
+    # at p = q the cost is the sum itself, which underflows as 2.5e-339 does
+    assert PLANE.powered_distance(origin, tiny, 2) == 0.0
+
+
+def test_w1_between_product_diracs_closer_than_a_normal_sum_is_not_zero():
+    exact_tiny = EuclideanPoint((Fraction(3, 10**170), Fraction(4, 10**170)))
+    for t, origin, point in ((0.5, (0.0, 0.0), TINY), (Fraction(1, 2), (0, 0), exact_tiny)):
+        mu = DiscreteMeasure(PLANE, ((ProductPoint(t, EuclideanPoint(origin)), 1),))
+        nu = DiscreteMeasure(PLANE, ((ProductPoint(t, point), 1),))
+        result = solve_wasserstein(mu, nu, p=1)
+        assert result.cost == pytest.approx(5e-170, rel=1e-15, abs=0) and result.certified
+        assert PLANE.distance(mu.support[0], nu.support[0]) == result.cost
+    # at q = 3 over an interval base, where fiber and base are both tiny
+    space = Product(Fraction(1, 2), 3, Interval(1))
+    a, b = ProductPoint(0.0, IntervalPoint(0.0)), ProductPoint(1e-210, IntervalPoint(1e-105))
+    assert space.distance(a, b) == pytest.approx(2 ** (1 / 3) * 1e-105, rel=1e-15, abs=0)
+    # differences below every float give 0.0
+    below = ProductPoint(Fraction(1, 2), EuclideanPoint((Fraction(1, 10**400), 0)))
+    assert PLANE.distance(ProductPoint(Fraction(1, 2), EuclideanPoint((0, 0))), below) == 0.0
