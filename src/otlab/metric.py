@@ -66,6 +66,9 @@ __all__ = [
 
 _MAX_FINITE_POINTS = 256
 _MIN_NORMAL = sys.float_info.min  # the smallest normal float, about 2.2e-308
+# the largest float, about 1.8e308, as the int it equals: an exact sum compares
+# to it faster than to the float
+_MAX_FLOAT = int(sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +222,8 @@ def _delta_units(ys, zs, exponent):
 
 class _CostMatrix:
     """The cost matrix every space kind builds from its ``powered_distance``."""
+
+    _int_costs = False  # whether every exact cost is an int (in units of 1); see ``Finite``
 
     def cost_matrix(self, rows, cols, p):
         """The m x n list of lists of ``powered_distance(y, z, p)``, y in rows, z in cols.
@@ -553,6 +558,10 @@ class Finite(_CostMatrix):
         ]
         return units, L
 
+    @cached_property
+    def _int_costs(self):  # true when no entry is a Fraction
+        return _no_fraction(v for row in self.matrix for v in row)
+
     def _unit_costs(self, rows, cols, p):
         # a mixed matrix can have all-exact blocks, so only the selected cells count
         e = _integral(p)
@@ -615,14 +624,18 @@ class Product(_CostMatrix):
                 return None
             base = self.base._float_costs([y.x for y in rows], [z.x for z in cols], self.q)
             return None if base is None else fiber + base
-        sums = self._float_costs(rows, cols, self.q)
+        try:
+            sums = self._float_costs(rows, cols, self.q)
+        except OverflowError:  # a float ** of the base beyond the float range
+            return None  # the scalar code rescales it
         if sums is None:
             return None
         costs = _power_cells(np.abs(_root_cells(sums, self.q)), p)
         if self.q != 1:
-            # a sum below the normal floats takes the scalar code, which
-            # rescales it where the points differ
-            for i, j in np.argwhere(sums < _MIN_NORMAL).tolist():
+            # a sum below the normal floats or beyond the float range takes
+            # the scalar code, which rescales it where the points differ
+            off = (sums < _MIN_NORMAL) | np.isinf(sums)
+            for i, j in np.argwhere(off).tolist():
                 costs[i, j] = self.powered_distance(rows[i], cols[j], p)
         return costs
 
@@ -649,9 +662,16 @@ class Product(_CostMatrix):
         return [[c**e for c in row] for row in costs], scale**e
 
     def distance(self, a, b):
-        total = self.powered_distance(a, b, self.q)
-        if self.q != 1 and total < _MIN_NORMAL and a != b:
-            return self._scaled_distance(a, b)
+        try:
+            total = self.powered_distance(a, b, self.q)
+        except OverflowError:  # a float ** of the base beyond the float range
+            total = math.inf
+        if self.q != 1 and (total > _MAX_FLOAT or total < _MIN_NORMAL and a != b):
+            scaled = self._scaled_distance(a, b)
+            if scaled < math.inf:
+                return scaled
+        # a distance beyond the float range too: inf from float coordinates,
+        # a DomainError from exact ones
         return root(total, self.q)
 
     def _scaled_distance(self, a, b):
@@ -660,13 +680,18 @@ class Product(_CostMatrix):
         f is the fiber distance |t - t'| ** alpha, d the base distance and s
         the larger of the two. Scaled by s, the larger term is 1, so this
         keeps the distance where the sum of the q-th powers falls below the
-        normal floats while a != b. It takes over only there: elsewhere it
-        may differ from ``root`` of that sum in the last digit.
+        normal floats while a != b, or beyond the float range while the
+        distance is not. It takes over only there: elsewhere it may differ
+        from ``root`` of that sum in the last digit. A base distance beyond
+        the float range gives inf.
         """
         f = float(powered_abs(a.t - b.t, self.alpha))
-        d = float(self.base.distance(a.x, b.x))
+        try:
+            d = float(self.base.distance(a.x, b.x))
+        except OverflowError:  # an exact base distance beyond the float range
+            return math.inf
         s = max(f, d)
-        if s == 0.0:
+        if s == 0.0 or s == math.inf:
             return s
         q = float(self.q)
         return s * root((f / s) ** q + (d / s) ** q, q)

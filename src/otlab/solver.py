@@ -11,20 +11,21 @@ in the first block of max(isqrt(m*n), 10) cells that has one. Cunningham's
 cycling on degenerate pivots. The spanning-tree basis is kept in arrays
 indexed by node, rows 0..m-1 and columns m..m+n-1, rooted at row 0: each
 node's parent, depth and neighbours, and the flow of the basic cell that
-links it to its parent. The northwest-corner staircase is a path from row 0,
-so the starting tree is built in one pass over its cells. A pivot walks up
-from both ends of the entering cell to the apex of its cycle, reading the
-flows by node and picking the leaving cell on the way. It then turns round
-the parent links from the entering cell's end up to the node the leaving
-cell cuts off, each flow moving to its link's new child, and recomputes
-depths and potentials only on the subtree it re-hangs. Exact
+links it to its parent; pricing reads a cell's tree membership from these
+links. The northwest staircase is a path from row 0, built in one pass. A
+pivot walks up from both ends of the entering cell to the apex of its cycle,
+reading the flows by node and picking the leaving cell on the way, turns
+round the parent links from the entering cell's end up to the node the
+leaving cell cuts off, each flow moving to its link's new child, and
+recomputes depths and potentials only on the subtree it re-hangs. Exact
 inputs (int/Fraction masses and costs) are recognized automatically: masses
 are scaled by the lcm of their denominators, and the space builds the costs
 in integer units straight from the coordinates, so the pivots and the
 certificate run on Python ints and the results become Fractions once, at
-the end. Scaling every cost by one positive integer scales every reduced
-cost by it too, so no pricing comparison, and no pivot, depends on the
-scale.
+the end; a potential is typed by a walk of the final tree unless every
+exact cost is an int (a ``Finite`` space with no Fraction entry), when it
+is the kernel's int. Scaling every cost by one positive integer scales
+every reduced cost by it too, so no pivot depends on that integer.
 
 The optimal cost is unique, so exact ``powered_cost``, ``cost`` and
 ``certified`` do not depend on the pivot rule. The pivot count does, and so
@@ -100,17 +101,13 @@ class Coupling:
 
     @classmethod
     def _solved(cls, space, row_points, col_points, weights):
-        """The plan of a simplex solve, built without the checks above.
+        """The plan of a simplex solve: its four fields set in one dict update, unchecked.
 
         The simplex keeps its flows nonnegative and on the measures' marginals,
-        and hands over tuples, so the checks would only re-sum the plan.
+        and hands over tuples, so the checks above would only re-sum the plan.
         """
         plan = object.__new__(cls)
-        for name, value in zip(
-            ("space", "row_points", "col_points", "weights"),
-            (space, row_points, col_points, weights),
-        ):
-            object.__setattr__(plan, name, value)
+        vars(plan).update(space=space, row_points=row_points, col_points=col_points, weights=weights)
         return plan
 
     def row_sums(self):
@@ -242,7 +239,6 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
     depth = [0] * nodes
     flow = [0] * nodes
     adj = [[] for _ in range(nodes)]
-    basic = [[False] * n for _ in range(m)]
     u = [0] * m
     v = [0] * n
     # The basic cells in the returned dict's order; the flows themselves are
@@ -265,7 +261,6 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
         flow[node] = f
         adj[i].append(m + j)
         adj[m + j].append(i)
-        basic[i][j] = True
         last = i
 
     threshold = -_ENTERING_EPS if scale is None else 0
@@ -275,19 +270,19 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
     pivots = 0
     while True:
         # Block search: scan from (i, j), wrapping round the cells, and take
-        # the most negative reduced cost of the first block that has one.
+        # the most negative reduced cost of the first block that has one (no
+        # block runs past the cells left). A tree cell links a node to its parent.
         ei = -1
         best = threshold
         left = block
         scanned = 0
         while scanned < cells:
-            stop = min(n, j + left, j + cells - scanned)
+            stop = n if j + left > n else j + left
             ui = u[i]
             row = cost[i]
-            row_basic = basic[i]
             for k in range(j, stop):
                 d = row[k] - ui - v[k]
-                if d < best and not row_basic[k]:
+                if d < best and parent[i] != m + k and parent[m + k] != i:
                     best = d
                     ei, ej = i, k
             scanned += stop - j
@@ -299,7 +294,7 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
             if left == 0:
                 if ei >= 0:
                     break
-                left = block
+                left = block if block < cells - scanned else cells - scanned
         if ei < 0:
             return _fill_flows(flows, parent, flow, m), pivots, u, v, adj
         if pivots >= budget:
@@ -363,10 +358,7 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
             flow[node], carried = carried, flow[node]
             if node == cut:
                 break
-        li, lj = (cut, up - m) if cut < m else (up, cut - m)
-        basic[li][lj] = False
-        basic[ei][ej] = True
-        del flows[(li, lj)]
+        del flows[(cut, up - m) if cut < m else (up, cut - m)]
         flows[(ei, ej)] = None
         adj[cut].remove(up)
         adj[up].remove(cut)
@@ -497,7 +489,8 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     ``_unit_costs``. The certificate then allows ``tolerance(powered, tol)``,
     which is 0, so ``certified`` is exact; the plan and cost become Fractions
     once, and each potential is the int or the Fraction that Fraction
-    arithmetic along its tree path would give it (``_int_nodes``). Any other
+    arithmetic along its tree path would give it (``_int_nodes``, a walk
+    that a space whose exact costs are all ints skips). Any other
     input takes the space's ``cost_matrix`` and is certified within ``tol``.
     The pivot budget defaults to 10 * m * n; exhausting it raises
     :class:`SolverStallError` rather than returning an approximation. The
@@ -536,14 +529,15 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
             weights[i][j] = f if L is None else (Fraction(f, L) if f % L else Fraction(f // L))
     if scale is not None:
         powered = Fraction(powered, scale)
-        # the kernel's potentials are in cost units; each is reported as the
-        # int or the Fraction that Fraction arithmetic along its tree path
-        # from row 0 would make
-        ints = _int_nodes(space, rows, cols, adj, m)
-        u = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(u, ints)]
-        v = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(v, ints[m:])]
+        # the kernel's potentials are in cost units; each is reported as the int
+        # or the Fraction that Fraction arithmetic along its tree path from row 0
+        # would make, which is the kernel's int when every exact cost is an int
+        if not space._int_costs:
+            ints = _int_nodes(space, rows, cols, adj, m)
+            u = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(u, ints)]
+            v = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(v, ints[m:])]
 
-    plan = Coupling._solved(space, rows, cols, tuple(tuple(r) for r in weights))
+    plan = Coupling._solved(space, rows, cols, tuple(map(tuple, weights)))
     return TransportResult(
         p=p,
         powered_cost=powered,

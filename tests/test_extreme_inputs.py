@@ -17,6 +17,7 @@ from otlab import (
     Euclidean,
     EuclideanPoint,
     Finite,
+    FinitePoint,
     Interval,
     IntervalPoint,
     Product,
@@ -96,7 +97,9 @@ def _far_pair(big, neg_big, half):
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_float_cost_beyond_the_float_range_is_a_domain_error(p):
-    mu, nu = _far_pair(1e200, -1e200, 0.5)
+    # at p = 1 the cost is the distance, which the product rescales while it
+    # fits a float, so that case takes a pair whose distance (2e308) does not
+    mu, nu = _far_pair(1e308, -1e308, 0.5) if p == 1 else _far_pair(1e200, -1e200, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="beyond the float range"):
@@ -203,7 +206,9 @@ def test_euclidean_power_of_a_scaled_distance_beyond_the_float_range_is_a_domain
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_exact_cost_whose_root_overflows_is_a_domain_error(p):
-    mu, nu = _far_pair(10**200, -(10**200), Fraction(1, 2))
+    # as above, the p = 1 pair is one whose distance is beyond the floats
+    big = 10**308 if p == 1 else 10**200
+    mu, nu = _far_pair(big, -big, Fraction(1, 2))
     with pytest.raises(DomainError, match="beyond the float range"):
         solve_wasserstein(mu, nu, p=p)
 
@@ -257,3 +262,76 @@ def test_w1_between_product_diracs_closer_than_a_normal_sum_is_not_zero():
     # differences below every float give 0.0
     below = ProductPoint(Fraction(1, 2), EuclideanPoint((Fraction(1, 10**400), 0)))
     assert PLANE.distance(ProductPoint(Fraction(1, 2), EuclideanPoint((0, 0))), below) == 0.0
+
+
+@pytest.mark.parametrize("p", [1, 1.5])
+def test_w1_between_product_points_whose_sum_overflows_is_kept(p):
+    # the far pair's sums |dt| + d_X**2 overflow, its distances (2e200 and
+    # 1e200) do not; float and exact coordinates give the same certified W_p
+    want = (0.5 * 2e200 ** float(p) + 0.5 * 1e200 ** float(p)) ** (1 / float(p))
+    for args in ((1e200, -1e200, 0.5), (10**200, -(10**200), Fraction(1, 2))):
+        mu, nu = _far_pair(*args)
+        far, near = mu.support
+        assert PLANE.distance(far, nu.support[0]) == 2e200
+        assert PLANE.distance(near, nu.support[0]) == 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_wasserstein(mu, nu, p=p)
+        assert result.cost == pytest.approx(want, rel=1e-12) and result.certified
+        assert result.arithmetic == "float"
+
+
+@pytest.mark.parametrize("p", [1, 1.5])
+@pytest.mark.parametrize("q", [2, 3])
+def test_product_broadcast_rescues_the_cells_whose_sum_overflows(p, q):
+    # the broadcast flags the overflowed sums and takes the scalar code on
+    # them, bit for bit; every other cell keeps the root of its sum
+    space = Product(0.5, q, Euclidean(2))
+    origin = ProductPoint(0.5, EuclideanPoint((0.0, 0.0)))
+    far = ProductPoint(0.25, EuclideanPoint((3e200, 4e200)))
+    unit = ProductPoint(0.75, EuclideanPoint((1.5, -2.0)))
+    rows, cols = [origin, far, unit], [far, unit, origin]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        costs = space.cost_matrix(rows, cols, p)
+    assert costs == [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+    assert costs[0][0] == pytest.approx(5e200 ** float(p), rel=1e-14, abs=0)
+    assert costs[2][1] == 0.0
+    normal = space.powered_distance(origin, unit, q)
+    assert costs[0][1] == (normal ** (1 / q) if q != 2 else math.sqrt(normal)) ** float(p)
+    # at p = q the cost is the sum itself, beyond the float range
+    with pytest.raises(DomainError, match="beyond the float range"):
+        space.cost_matrix(rows, cols, q)
+
+
+@pytest.mark.parametrize(
+    "base, x, y",
+    [
+        (Euclidean(1), EuclideanPoint((1e200,)), EuclideanPoint((-1e200,))),
+        (Finite(((0.0, 2e200), (2e200, 0.0))), FinitePoint(0), FinitePoint(1)),
+    ],
+)
+def test_product_over_a_base_whose_float_power_overflows_is_kept(base, x, y):
+    # a float ** of these base distances raises rather than giving inf; the
+    # matrix then takes the scalar code, which rescales the distance
+    space = Product(1, 2, base)
+    a, b = ProductPoint(0.0, x), ProductPoint(1.0, y)
+    assert space.distance(a, b) == 2e200
+    assert space.cost_matrix([a, b], [b, a], 1) == [[2e200, 0.0], [0.0, 2e200]]
+    with pytest.raises(DomainError, match="beyond the float range"):
+        space.cost_matrix([a, b], [b, a], 2)
+
+
+def test_product_distance_beyond_the_float_range_stays_refused():
+    # where the distance itself is beyond the floats there is nothing to
+    # rescue: inf from float coordinates, a DomainError from exact ones
+    space = Product(Fraction(1, 2), 2, Euclidean(2))
+    a = ProductPoint(0.5, EuclideanPoint((1.5e308, 0.0)))
+    b = ProductPoint(0.5, EuclideanPoint((-1.5e308, 0.0)))
+    assert space.distance(a, b) == INF
+    with pytest.raises(DomainError, match="beyond the float range"):
+        space.cost_matrix([a], [b], 1)
+    exact_a = ProductPoint(0, EuclideanPoint((10**400, 0)))
+    exact_b = ProductPoint(0, EuclideanPoint((0, 0)))
+    with pytest.raises(DomainError, match="beyond the float range"):
+        space.distance(exact_a, exact_b)

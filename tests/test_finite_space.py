@@ -19,10 +19,14 @@ from otlab import (
     InvalidSpaceError,
     ParseError,
     load_finite_space,
+    make_rng,
     solve_wasserstein,
 )
+from otlab.campaign import five_point_tree_space
+from otlab.solver import _joint_units, _transport_simplex
 
 from oracles import first_triangle_violation
+from test_solver import _shared_measures, _tree_hung_potentials
 
 
 def line_metric(points):
@@ -138,3 +142,83 @@ def test_warm_and_fresh_finite_spaces_are_equal_and_pickle_alike(kind):
     assert warm == fresh and hash(warm) == hash(fresh)
     assert pickle.dumps(warm) == pickle.dumps(fresh)
     assert warm._unit_matrix == fresh._unit_matrix
+
+
+# which entries of the five-point tree are spelled Fraction(k) rather than int k
+_SPELLED = {
+    "int": lambda i, j: False,
+    "odd": lambda i, j: (i + j) % 2 == 1,
+    "one": lambda i, j: {i, j} == {3, 4},
+}
+
+
+def _spelled_tree(spelling):
+    spelled = _SPELLED[spelling]
+    matrix = five_point_tree_space().matrix
+    return Finite(
+        tuple(
+            tuple(Fraction(d) if spelled(i, j) else d for j, d in enumerate(row))
+            for i, row in enumerate(matrix)
+        )
+    )
+
+
+def _crossed_fractions(mu, nu, p):
+    """Whether each row's and column's path from row 0 in the final tree crosses a Fraction entry."""
+    space, rows, cols = mu.space, mu.support, nu.support
+    m, n = len(rows), len(cols)
+    cost, Lc = space._unit_costs(rows, cols, p)
+    a, b, L = _joint_units(mu._mass_units, nu._mass_units)
+    adj = _transport_simplex(a, b, cost, m, n, L * Lc, 10 * m * n)[4]
+    crossed = [None] * (m + n)
+    crossed[0] = False
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for nb in adj[node]:
+            if crossed[nb] is None:
+                i, k = (nb, node - m) if nb < m else (node, nb - m)
+                entry = space.matrix[rows[i].index][cols[k].index]
+                crossed[nb] = crossed[node] or isinstance(entry, Fraction)
+                stack.append(nb)
+    return crossed[:m], crossed[m:]
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLED))
+def test_potentials_are_typed_by_their_tree_path_with_and_without_the_walk(spelling):
+    # an all-int space reports the kernel's int potentials as they are; a
+    # space with a Fraction entry still types each potential by its path
+    space = _spelled_tree(spelling)
+    assert space._int_costs is (spelling == "int")
+    points = [FinitePoint(k) for k in range(5)]
+    rng = make_rng((157, sorted(_SPELLED).index(spelling)))
+    types = set()
+    for _ in range(40):
+        mu, nu = _shared_measures(rng, space, points)
+        for p in (1, 2):
+            result = solve_wasserstein(mu, nu, p=p)
+            assert result.arithmetic == "exact"
+            assert repr(result.dual_potentials) == repr(_tree_hung_potentials(mu, nu, p))
+            for values, crossed in zip(result.dual_potentials, _crossed_fractions(mu, nu, p)):
+                assert [type(x) is Fraction for x in values] == crossed
+                types.update(type(x) for x in values)
+    assert types == ({int} if spelling == "int" else {int, Fraction})
+
+
+@pytest.mark.parametrize("kind", ("exact", "float", "mixed", "int"))
+def test_the_int_costs_flag_stays_out_of_equality_hash_repr_and_pickles(kind):
+    line = [0, Fraction(1, 2), 2, Fraction(7, 3)]
+    exact = [[abs(a - b) for b in line] for a in line]
+    if kind == "float":
+        exact = [[float(d) for d in row] for row in exact]
+    elif kind == "mixed":
+        exact[0][3] = exact[3][0] = float(exact[0][3])
+    matrix = five_point_tree_space().matrix if kind == "int" else tuple(map(tuple, exact))
+    warm = Finite(matrix)
+    assert warm._int_costs is (kind in ("float", "int"))
+    assert "_int_costs" in vars(warm)
+    fresh = pickle.loads(pickle.dumps(Finite(matrix)))
+    assert "_int_costs" not in vars(fresh)
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    assert fresh._int_costs is warm._int_costs

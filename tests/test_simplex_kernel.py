@@ -14,7 +14,9 @@ from fractions import Fraction
 import pytest
 
 from otlab import (
+    DiscreteMeasure,
     Euclidean,
+    FinitePoint,
     Interval,
     Product,
     SolverStallError,
@@ -22,6 +24,7 @@ from otlab import (
     random_finite_space,
     random_measure,
 )
+from otlab.campaign import five_point_tree_space
 from otlab.solver import _joint_units, _northwest_corner, _transport_simplex
 
 from test_solver import tied_pair
@@ -228,3 +231,50 @@ def test_kernel_pivots_like_the_reference_through_ties(kind, exact):
         mu, nu = tied_pair(kind, k)
         _assert_pivots_alike(_kernel_args(mu, nu, 1, exact))
 
+
+def _tree_profile(rng, space):
+    """A criterion-12 mass profile: multiples of 1/8 on one to four of the five tree points."""
+    size = int(rng.integers(1, 5))
+    points = sorted(int(k) for k in rng.choice(5, size=size, replace=False))
+    cuts = sorted(int(c) for c in rng.choice(range(1, 8), size=size - 1, replace=False))
+    units = [hi - lo for lo, hi in zip([0] + cuts, cuts + [8])]
+    return DiscreteMeasure(space, tuple((FinitePoint(k), Fraction(x, 8)) for k, x in zip(points, units)))
+
+
+def test_kernel_pivots_like_the_reference_at_the_benchmark_sizes():
+    # the shapes the benchmark times: 40 x 40 float pairs on the plane at
+    # p = 2 and window 10, 25 x 25 exact pairs on the city-block square at
+    # p = 1, criterion-12 profile pairs on the five-point tree, and the
+    # 12-atom float pairs of the scale slice, where the float reduced cost
+    # of a tree cell can fall below the entering threshold
+    rng = make_rng(151)
+    plane = Product(Fraction(1, 2), 2, Euclidean(2))
+    city = Product(1, 1, Interval(1))
+    pivots = []
+    for _ in range(2):
+        mu, nu = (random_measure(rng, plane, 40, window=10) for _ in range(2))
+        pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 2, False)))
+        mu, nu = (random_measure(rng, city, 25, exact=True) for _ in range(2))
+        pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 1, True)))
+    tree = five_point_tree_space()
+    for _ in range(40):
+        mu, nu = _tree_profile(rng, tree), _tree_profile(rng, tree)
+        pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 1, True)))
+    for space, window in ((Euclidean(2), 1e-7), (Product(0.5, 2, Euclidean(2)), 1e5)):
+        for _ in range(3):
+            mu, nu = (random_measure(rng, space, 12, window=window) for _ in range(2))
+            pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 2, False)))
+    assert min(pivots[:4]) > 40 and sum(pivots[4:44]) > 0
+
+
+def test_kernel_pivots_like_the_reference_where_the_last_block_is_cut_short():
+    # in these seeded pairs a block with no entering cell ends fewer than a
+    # block's cells before the scan is done; the next block must stop where
+    # the scan began, or every later scan starts from another cell
+    for k in (1127, 2080, 2449, 2934):
+        rng = make_rng((167, k))
+        space, exact = (Product(1, 1, Interval(1)), True) if k % 2 else (Euclidean(2), False)
+        m, n = (int(x) for x in rng.integers(2, 14, size=2))
+        mu = random_measure(rng, space, m, exact=exact)
+        nu = random_measure(rng, space, n, exact=exact)
+        _assert_pivots_alike(_kernel_args(mu, nu, 1, exact))
