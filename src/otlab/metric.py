@@ -66,8 +66,8 @@ __all__ = [
 
 _MAX_FINITE_POINTS = 256
 _MIN_NORMAL = sys.float_info.min  # the smallest normal float, about 2.2e-308
-# the largest float, about 1.8e308, as the int it equals: an exact sum compares
-# to it faster than to the float
+# it and the largest float (about 1.8e308) as exact numbers, for exact sums
+_EXACT_MIN_NORMAL = Fraction(_MIN_NORMAL)
 _MAX_FLOAT = int(sys.float_info.max)
 
 
@@ -175,6 +175,49 @@ def _root_cells(values, q):
 
 
 # ---------------------------------------------------------------------------
+# distances whose sum of q-th powers leaves the float range: ``Euclidean``
+# (dim >= 2, q = 2) and ``Product`` (q > 1) take the scaled form where the sum
+# has lost its root, and only there, since elsewhere the two may differ in the
+# last digit
+
+
+def _lost_root(total, a, b):
+    """Whether ``total``, the sum of q-th powers of d(a, b), has lost its root.
+
+    It has when it is beyond the float range (inf, or above the largest float
+    when exact), or below the smallest normal float while a != b. An exact
+    sum is compared with exact bounds, a float sum with float ones.
+    """
+    if isinstance(total, float):
+        return total == math.inf or (total < _MIN_NORMAL and a != b)
+    # an int sum is 0 (where a == b) or at least 1, so only a Fraction sum
+    # pays the comparison with the smallest normal float
+    small = type(total) is not int and total < _EXACT_MIN_NORMAL
+    return total > _MAX_FLOAT or (small and a != b)
+
+
+def _scaled_norm(magnitudes, q):
+    """s * (sum((v / s) ** q)) ** (1/q) in floats, s the largest |v| (Blue, ACM TOMS 1978).
+
+    Scaled by s, the largest term is 1, so no power overflows or loses the
+    distance. A magnitude too large for a float makes the result inf; one
+    below the normal floats keeps the few digits its float has.
+    """
+    try:
+        floats = [abs(float(v)) for v in magnitudes]
+    except OverflowError:  # an exact magnitude beyond the float range
+        return math.inf
+    s = max(floats)
+    if s == 0.0 or s == math.inf:
+        return s
+    e, total = float(q), 0.0
+    for v in floats:
+        r = v / s
+        total = total + (r * r if q == 2 else r**e)
+    return s * root(total, q)
+
+
+# ---------------------------------------------------------------------------
 # exact cost matrices in integer units
 #
 # ``_unit_costs(rows, cols, p)`` of every space kind returns (C, S), a list of
@@ -249,6 +292,16 @@ class _CostMatrix:
         if not finite:
             raise DomainError(f"a cost d**p at p={format_number(p)} is beyond the float range")
         return matrix
+
+    def _rescue_cells(self, costs, sums, rows, cols, p):
+        """``costs``, the roots of the float ``sums``, redone where a sum may have lost its root.
+
+        Each cell whose sum is inf or below the smallest normal float takes
+        ``powered_distance``, which rescales it where :func:`_lost_root` says so.
+        """
+        for i, j in np.argwhere((sums < _MIN_NORMAL) | np.isinf(sums)).tolist():
+            costs[i, j] = self.powered_distance(rows[i], cols[j], p)
+        return costs
 
 
 def _all_finite(matrix):
@@ -329,51 +382,21 @@ class Euclidean(_CostMatrix):
         # builtin sum compensates float sums from Python 3.12 on)
         total = 0
         for u, v in zip(a.coords, b.coords):
-            total = total + (u - v) * (u - v)
+            d = u - v
+            total = total + d * d
         return total
-
-    def _scaled_norm(self, a, b):
-        """|a - b| as s * sqrt(sum((d / s)**2)), s the largest |d|, in floats.
-
-        No square here overflows or underflows, so this is the distance where
-        ``_sq`` is beyond the float range or below its normal floats and the
-        distance is not. It takes over only there (``_off_scale``): elsewhere
-        it may differ from ``math.sqrt`` of ``_sq`` in the last digit. A
-        difference that is itself below the normal floats keeps the precision
-        the float of it has.
-        """
-        deltas = [float(u - v) for u, v in zip(a.coords, b.coords)]
-        s = max(abs(d) for d in deltas)
-        if s == math.inf or s == 0.0:
-            return s
-        total = 0.0
-        for d in deltas:
-            r = d / s
-            total = total + r * r
-        return s * math.sqrt(total)
-
-    def _float_sq(self, a, b):
-        """``_sq`` as a float, inf where an exact square is too large for one."""
-        try:
-            return float(self._sq(a, b))
-        except OverflowError:
-            return math.inf
-
-    @staticmethod
-    def _off_scale(sq, a, b):
-        """Whether the float square ``sq`` of |a - b| lost the distance.
-
-        It did when it overflowed, or when it fell below the normal floats
-        (to a subnormal or to 0) while a != b: its root then has fewer
-        digits than the distance, or none.
-        """
-        return sq == math.inf or (sq < _MIN_NORMAL and a.coords != b.coords)
 
     def distance(self, a, b):
         if self.dim == 1:
             return abs(a.coords[0] - b.coords[0])
-        sq = self._float_sq(a, b)
-        return self._scaled_norm(a, b) if self._off_scale(sq, a, b) else math.sqrt(sq)
+        sq = self._sq(a, b)
+        # a normal float square is tested inline, without a call to the rule
+        if (type(sq) is not float or not _MIN_NORMAL <= sq < math.inf) and _lost_root(sq, a, b):
+            d = _scaled_norm([u - v for u, v in zip(a.coords, b.coords)], 2)
+            # a distance beyond the float range too: inf from float
+            # coordinates, a DomainError from exact ones
+            return d if d < math.inf else root(sq, 2)
+        return math.sqrt(sq)
 
     def powered_distance(self, a, b, p):
         if self.dim == 1:
@@ -382,10 +405,12 @@ class Euclidean(_CostMatrix):
             # the cost is a power of the square itself; where the square
             # underflows, so does the cost
             return self._sq(a, b) ** (int(p) // 2)
-        sq = self._float_sq(a, b)
-        if self._off_scale(sq, a, b):  # the distance may fit where its square does not
-            return self._scaled_norm(a, b) ** float(p)
-        return sq ** (float(p) / 2.0)
+        sq = self._sq(a, b)
+        if _lost_root(sq, a, b):  # the distance may fit where its square does not
+            d = _scaled_norm([u - v for u, v in zip(a.coords, b.coords)], 2)
+            if d < math.inf:
+                return d ** float(p)
+        return float(sq) ** (float(p) / 2.0)
 
     def _int_cost(self, a, b):
         return _no_fraction(a.coords + b.coords)
@@ -412,17 +437,7 @@ class Euclidean(_CostMatrix):
             e = _integral(p)
             if e is not None and e % 2 == 0:
                 return costs
-            # a cell whose square overflowed or fell below the normal floats
-            # takes the scalar code, which scales it where a != b. No |d|
-            # exceeds ``reach``, so below 1e300 no square can overflow and
-            # the matrix is not scanned for one.
-            reach = float(np.abs(ys).max(initial=0.0)) + float(np.abs(zs).max(initial=0.0))
-            off = sq < _MIN_NORMAL
-            if not reach * reach * self.dim < 1e300:
-                off |= np.isinf(sq)
-            for i, j in np.argwhere(off).tolist():
-                costs[i, j] = self.powered_distance(rows[i], cols[j], p)
-            return costs
+            return self._rescue_cells(costs, sq, rows, cols, p)
 
     def _unit_costs(self, rows, cols, p):
         if self.dim == 1:
@@ -631,13 +646,7 @@ class Product(_CostMatrix):
         if sums is None:
             return None
         costs = _power_cells(np.abs(_root_cells(sums, self.q)), p)
-        if self.q != 1:
-            # a sum below the normal floats or beyond the float range takes
-            # the scalar code, which rescales it where the points differ
-            off = (sums < _MIN_NORMAL) | np.isinf(sums)
-            for i, j in np.argwhere(off).tolist():
-                costs[i, j] = self.powered_distance(rows[i], cols[j], p)
-        return costs
+        return costs if self.q == 1 else self._rescue_cells(costs, sums, rows, cols, p)
 
     def _unit_costs(self, rows, cols, p):
         if p == self.q:
@@ -666,35 +675,16 @@ class Product(_CostMatrix):
             total = self.powered_distance(a, b, self.q)
         except OverflowError:  # a float ** of the base beyond the float range
             total = math.inf
-        if self.q != 1 and (total > _MAX_FLOAT or total < _MIN_NORMAL and a != b):
-            scaled = self._scaled_distance(a, b)
+        # a normal float sum is tested inline, as in Euclidean.distance
+        off = type(total) is not float or not _MIN_NORMAL <= total < math.inf
+        if self.q != 1 and off and _lost_root(total, a, b):
+            d = self.base.distance(a.x, b.x)
+            scaled = _scaled_norm((powered_abs(a.t - b.t, self.alpha), d), self.q)
             if scaled < math.inf:
                 return scaled
         # a distance beyond the float range too: inf from float coordinates,
         # a DomainError from exact ones
         return root(total, self.q)
-
-    def _scaled_distance(self, a, b):
-        """The distance as s * ((f / s)**q + (d / s)**q) ** (1/q), in floats.
-
-        f is the fiber distance |t - t'| ** alpha, d the base distance and s
-        the larger of the two. Scaled by s, the larger term is 1, so this
-        keeps the distance where the sum of the q-th powers falls below the
-        normal floats while a != b, or beyond the float range while the
-        distance is not. It takes over only there: elsewhere it may differ
-        from ``root`` of that sum in the last digit. A base distance beyond
-        the float range gives inf.
-        """
-        f = float(powered_abs(a.t - b.t, self.alpha))
-        try:
-            d = float(self.base.distance(a.x, b.x))
-        except OverflowError:  # an exact base distance beyond the float range
-            return math.inf
-        s = max(f, d)
-        if s == 0.0 or s == math.inf:
-            return s
-        q = float(self.q)
-        return s * root((f / s) ** q + (d / s) ** q, q)
 
     def describe(self):
         return (

@@ -324,17 +324,18 @@ class GeodesicExtension:
 
 
 def _dirac_distance(space, y, eta):
-    """d_W1(delta_y, eta): the only coupling ships everything to y."""
+    """d_W1(delta_y, eta): the only coupling ships everything to y, a valid point of ``space``."""
+    if eta.space != space:  # eta's atoms were validated on eta.space only
+        for p in eta.support:
+            space.validate_point(p)
     total = 0
     for p, m in eta.atoms:
-        total = total + m * distance(space, y, p)
+        total = total + m * space.distance(y, p)
     return total
 
 
 def build_geodesic_extension(space, eta, y, y_prime, c):
     """Construct the extension, deriving speed and radius from the data."""
-    space.validate_point(y)
-    space.validate_point(y_prime)
     v = c * distance(space, y, y_prime)
     r = _dirac_distance(space, y, eta)
     return GeodesicExtension(space=space, eta=eta, y=y, y_prime=y_prime, c=c, v=v, r=r)
@@ -394,10 +395,11 @@ def geodesic_speed_check(ext, sample_pairs, tol=DEFAULT_TOL):
         residual = abs(got - expected)
         bound = 0
         g1_masses = g1.as_dict()
+        # the curve's measures and ext.y are points of ext.space already
         for p, m in g2.atoms:
-            bound = bound + distance(ext.space, ext.y, p) * m
+            bound = bound + ext.space.distance(ext.y, p) * m
         for p, m in g1_masses.items():
-            bound = bound - distance(ext.space, ext.y, p) * m
+            bound = bound - ext.space.distance(ext.y, p) * m
         if bound > got + tol:
             raise InvariantError("dual lower bound exceeds the solved distance")
         if residual > tol:

@@ -35,9 +35,11 @@ in their last digits.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,7 +113,9 @@ class Coupling:
         return plan
 
     def row_sums(self):
-        return tuple(sum(row[1:], row[0]) for row in self.weights)
+        # a plain running sum, as in col_sums: from Python 3.12 on the builtin
+        # sum compensates float sums, and would sum the two marginals differently
+        return tuple(functools.reduce(operator.add, row) for row in self.weights)
 
     def col_sums(self):
         n = len(self.col_points)

@@ -47,22 +47,33 @@ def quantile_flip(atoms):
     return tuple((p, m) for p, m in out if m != 0)
 
 
+# exhaustive_min_cost's memo, shared by every call: the minimum cost of
+# shipping the remaining supplies, over their lane-cost rows, into the
+# remaining demand depends on nothing else
+_MIN_COST_MEMO = {}
+
+
 def exhaustive_min_cost(supply_units, demand_units, unit_costs):
     """Minimum transport cost over all integral plans, by direct enumeration.
 
     ``supply_units`` and ``demand_units`` are tuples of nonnegative ints with
-    equal totals; ``unit_costs[i][j]`` is the cost of one unit on lane (i, j).
-    The transport polytope with integral margins has integral vertices, so
-    this minimum equals the LP optimum. Memoized on (row, remaining demand).
+    equal totals; ``unit_costs[i][j]`` is the int cost of one unit on lane
+    (i, j). The transport polytope with integral margins has integral
+    vertices, so this minimum equals the LP optimum. Memoized across calls on
+    (the remaining supplies, their lane-cost rows, the remaining demand).
     """
     n = len(demand_units)
-    memo = {}
+    # tails[i]: the supplies from row i on, with their rows, as one hashable key part
+    tails = [
+        (tuple(supply_units[i:]), tuple(tuple(row) for row in unit_costs[i:]))
+        for i in range(len(supply_units) + 1)
+    ]
 
     def best(i, remaining):
         if i == len(supply_units):
             return 0
-        key = (i, remaining)
-        hit = memo.get(key)
+        key = (tails[i], remaining)
+        hit = _MIN_COST_MEMO.get(key)
         if hit is not None:
             return hit
         row = unit_costs[i]
@@ -87,7 +98,7 @@ def exhaustive_min_cost(supply_units, demand_units, unit_costs):
                 )
 
         spread(0, supply, 0, remaining)
-        memo[key] = out[0]
+        _MIN_COST_MEMO[key] = out[0]
         return out[0]
 
     return best(0, tuple(demand_units))

@@ -27,6 +27,7 @@ from otlab import (
     solve_wasserstein,
 )
 from otlab.cli import EXIT_USAGE, entry
+from otlab.metric import distance, metric_segment, triangle_defect
 from otlab.errors import (
     DomainError,
     InvalidMeasureError,
@@ -335,3 +336,54 @@ def test_product_distance_beyond_the_float_range_stays_refused():
     exact_b = ProductPoint(0, EuclideanPoint((0, 0)))
     with pytest.raises(DomainError, match="beyond the float range"):
         space.distance(exact_a, exact_b)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_exact_euclidean_distance_beyond_the_float_range_is_a_domain_error(dim):
+    # the scaled form turns the difference 10**400 into inf, so the distance
+    # falls through to the root of its square, which refuses it
+    space = Euclidean(dim)
+    origin = EuclideanPoint((0,) * dim)
+    far = EuclideanPoint((0,) * (dim - 1) + (10**400,))
+    with pytest.raises(DomainError, match="beyond the float range"):
+        distance(space, far, origin)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        triangle_defect(space, origin, far, origin)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        metric_segment(space, origin, far, [origin, far])
+
+    # so is a product distance over such a base, whatever q: at q = 3 the
+    # base's cube is beyond the floats too, and the distance is no inf
+    space = Product(Fraction(1, 2), 3, space)
+    a, b = ProductPoint(0, origin), ProductPoint(0, far)
+    for p in (1, 1.5):
+        with pytest.raises(DomainError, match="beyond the float range"):
+            space.cost_matrix([a], [b], p)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        triangle_defect(space, a, b, a)
+
+
+def test_exact_product_sum_just_below_the_normal_floats_is_kept_alike():
+    # |dt| + |dx|**2 is 2**-1022 * (1 - 2**-12 + 2**-24) exactly, just below
+    # the smallest normal float; the coordinates are floats too, and the float
+    # sum is the same subnormal. The exact scalar code and the float broadcast
+    # keep the same distance, the root of the exact sum to the last digits
+    dt, dx = 2.0**-1034, 2.0**-511 * (1 - 2.0**-12)
+    space = Product(Fraction(1, 2), 2, Euclidean(2))
+    exact_a = ProductPoint(0, EuclideanPoint((0, 0)))
+    exact_b = ProductPoint(Fraction(dt), EuclideanPoint((Fraction(dx), 0)))
+    total = space.powered_distance(exact_a, exact_b, 2)
+    assert total == Fraction(2**24 - 2**12 + 1, 2**1046)
+    assert total < Fraction(2**-1022) and float(total) < 2.0**-1022
+    kept = space.distance(exact_a, exact_b)
+    want = math.sqrt(float(total * 2**1022)) * 2.0**-511  # the root, scaled to normal floats
+    assert kept == pytest.approx(want, rel=1e-15, abs=0)
+    float_a, float_b = ProductPoint(0.0, EuclideanPoint((0.0, 0.0))), ProductPoint(dt, EuclideanPoint((dx, 0.0)))
+    assert space.powered_distance(float_a, float_b, 2) < 2.0**-1022
+    for p in (1, 1.5):
+        want_p = kept ** float(p)
+        assert space.powered_distance(exact_a, exact_b, p) == want_p
+        assert space.cost_matrix([exact_a, exact_b], [exact_b], p) == [[want_p], [0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert space.cost_matrix([float_a, float_b], [float_b], p) == [[want_p], [0.0]]

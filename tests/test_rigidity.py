@@ -31,6 +31,7 @@ from otlab.campaign import (
     geodesic_instance,
     split_residual_witness_pair,
 )
+from otlab.errors import SpaceMismatchError
 from otlab.rigidity import GeodesicExtension, induction_family_generator
 
 
@@ -328,6 +329,20 @@ class TestGeodesicExtension:
         eta_at_y = DiscreteMeasure(space, ((y, 1),))
         with pytest.raises(DomainError):
             build_geodesic_extension(space, eta_at_y, y, y_prime, Fraction(1, 2))
+
+    def test_points_off_the_space_are_refused(self):
+        space, eta, y, y_prime = self.build()
+        half = Fraction(1, 2)
+        with pytest.raises(SpaceMismatchError):
+            build_geodesic_extension(space, eta, IntervalPoint(Fraction(0)), y_prime, half)
+        with pytest.raises(SpaceMismatchError):
+            build_geodesic_extension(space, eta, y, IntervalPoint(Fraction(1)), half)
+        # eta's atoms were validated on eta's own space, not on this one
+        foreign = DiscreteMeasure(Interval(1), ((IntervalPoint(half), 1),))
+        with pytest.raises(SpaceMismatchError):
+            build_geodesic_extension(space, foreign, y, y_prime, half)
+        with pytest.raises(SpaceMismatchError):
+            GeodesicExtension(space=space, eta=foreign, y=y, y_prime=y_prime, c=half, v=1, r=1)
 
     def test_tampered_speed_is_caught(self):
         space, eta, y, y_prime = self.build()

@@ -195,6 +195,18 @@ def test_coupling_cost_exponent(unit_interval):
     assert coupling_cost(pi, 2) == Fraction(1, 4)
 
 
+def test_row_and_column_sums_are_the_same_running_sum(unit_interval):
+    # 0.5 + 2**-54 rounds back to 0.5, twice; a compensated sum (the builtin
+    # sum of floats from Python 3.12 on) gives 0.5 + 2**-53 on this row
+    tiny = 2.0**-54
+    points = tuple(IntervalPoint(t) for t in (0.0, 0.5, 1.0))
+    rows = ((0.5, tiny, tiny), (0.5 - 2 * tiny, 0.0, 0.0))
+    plan = Coupling(unit_interval, points[:2], points, rows)
+    flipped = Coupling(unit_interval, points, points[:2], tuple(zip(*rows)))
+    assert plan.row_sums() == flipped.col_sums() == (0.5, 0.5 - 2 * tiny)
+    assert plan.col_sums() == flipped.row_sums() == (1.0 - 2 * tiny, tiny, tiny)
+
+
 def test_result_record_round_trips_through_json(unit_interval):
     import json
 
