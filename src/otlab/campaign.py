@@ -30,6 +30,7 @@ from .metric import (
 from .isometry import fiber_flip, flip, flip_coupling, flip_via_cdf
 from .sampling import (
     DEFAULT_WINDOW,
+    _scalar,
     make_rng,
     random_coupling,
     random_masses,
@@ -115,6 +116,24 @@ def _default_product(exact):
     return Product(alpha, 2, Euclidean(2))
 
 
+# fiber coordinates and mixing weights away from the ends of [0, 1]; exact
+# draws in sixteenths take 1/16 .. 15/16
+_UNIT_INTERIOR = (0.05, 0.95)
+
+
+def _remainder(rng, space, exact, c_low):
+    """A remainder eta of one to three atoms, two endpoints y and y', a weight c.
+
+    All points carry pairwise-distinct t coordinates. c is uniform on
+    [0.15, 0.85], or in exact mode a multiple of 1/16 in [c_low, 1 - c_low].
+    """
+    n_eta = int(rng.integers(1, 4))
+    y, y_prime, *eta_pts = random_separated_points(rng, space, n_eta + 2, exact)
+    eta = DiscreteMeasure(space, tuple(zip(eta_pts, random_masses(rng, n_eta, exact=exact))))
+    c = _scalar(rng, exact, (0.15, 0.85), 16, exact_window=(c_low, 1 - c_low))
+    return eta, y, y_prime, c
+
+
 def five_point_tree_space():
     """Fixed 5-point tree metric with integer edge lengths.
 
@@ -147,16 +166,7 @@ def alpha_form_pair(rng, alpha, q=2, exact=False, base=None):
     if not q > 1:
         raise DomainError("the trivial-segment certificate needs q > 1")
     space = Product(alpha, q, base if base is not None else Euclidean(2))
-    n_eta = int(rng.integers(1, 4))
-    pts = random_separated_points(rng, space, n_eta + 2, exact)
-    y, y_prime = pts[0], pts[1]
-    eta_pts = pts[2:]
-    eta_masses = random_masses(rng, n_eta, exact=exact)
-    eta = DiscreteMeasure(space, tuple(zip(eta_pts, eta_masses)))
-    if exact:
-        c = Fraction(int(rng.integers(1, 16)), 16)
-    else:
-        c = float(rng.uniform(0.15, 0.85))
+    eta, y, y_prime, c = _remainder(rng, space, exact, Fraction(1, 16))
     mu = DiscreteMeasure(space, ((y, c),) + tuple((u, (1 - c) * m) for u, m in eta.atoms))
     nu = DiscreteMeasure(space, ((y_prime, c),) + tuple((u, (1 - c) * m) for u, m in eta.atoms))
     return mu, nu, eta, y, y_prime, c
@@ -171,18 +181,12 @@ def collinear_witness_pair(rng, exact=False):
     convex combination.
     """
     space = _default_product(exact)
-    if exact:
-        t = Fraction(int(rng.integers(1, 16)), 16)
-        x0 = Fraction(int(rng.integers(-8, 9)), 2)
-        x1 = Fraction(int(rng.integers(-8, 9)), 2)
-        h = Fraction(int(rng.integers(1, 5)), 2)
-        lam = Fraction(int(rng.integers(1, 4)), 4)
-    else:
-        t = float(rng.uniform(0.05, 0.95))
-        x0 = float(rng.uniform(-4, 4))
-        x1 = float(rng.uniform(-4, 4))
-        h = float(rng.uniform(0.5, 2.0))
-        lam = float(rng.choice([0.25, 0.5, 0.75]))
+    t = _scalar(rng, exact, _UNIT_INTERIOR, 16)
+    x0 = _scalar(rng, exact, (-4, 4), 2)
+    x1 = _scalar(rng, exact, (-4, 4), 2)
+    h = _scalar(rng, exact, (0.5, 2.0), 2)
+    # lam's float draw is a choice among three values, not a uniform one
+    lam = Fraction(int(rng.integers(1, 4)), 4) if exact else float(rng.choice([0.25, 0.5, 0.75]))
     y = ProductPoint(t, EuclideanPoint((x0, x1)))
     y_prime = ProductPoint(t, EuclideanPoint((x0 + 2 * h, x1)))
     interior = ProductPoint(t, EuclideanPoint((x0 + 2 * h * lam, x1)))
@@ -200,16 +204,10 @@ def split_residual_witness_pair(rng, exact=False):
     yields a member distinct from the convex combination.
     """
     space = _default_product(exact)
-    if exact:
-        t = Fraction(int(rng.integers(1, 16)), 16)
-        base_x = Fraction(int(rng.integers(-4, 5)))
-        length = Fraction(int(rng.integers(1, 3)))
-        a = Fraction(int(rng.integers(2, 7)), 8)
-    else:
-        t = float(rng.uniform(0.05, 0.95))
-        base_x = float(rng.uniform(-4, 4))
-        length = float(rng.uniform(0.5, 1.5))
-        a = float(rng.uniform(0.25, 0.75))
+    t = _scalar(rng, exact, _UNIT_INTERIOR, 16)
+    base_x = _scalar(rng, exact, (-4, 4), 1)
+    length = _scalar(rng, exact, (0.5, 1.5), 1, exact_window=(1, 2))
+    a = _scalar(rng, exact, (0.25, 0.75), 8)
     sep = 6 * length
     far = 15 * length
 
@@ -231,15 +229,7 @@ def geodesic_instance(rng, space=None, exact=False):
     """Random extension data: a remainder, two endpoints, a mixing weight."""
     if space is None:
         space = _default_product(exact)
-    n_eta = int(rng.integers(1, 4))
-    pts = random_separated_points(rng, space, n_eta + 2, exact)
-    y, y_prime = pts[0], pts[1]
-    eta_masses = random_masses(rng, n_eta, exact=exact)
-    eta = DiscreteMeasure(space, tuple(zip(pts[2:], eta_masses)))
-    if exact:
-        c = Fraction(int(rng.integers(2, 15)), 16)
-    else:
-        c = float(rng.uniform(0.15, 0.85))
+    eta, y, y_prime, c = _remainder(rng, space, exact, Fraction(1, 8))
     return build_geodesic_extension(space, eta, y, y_prime, c)
 
 
@@ -249,9 +239,7 @@ def geodesic_instance(rng, space=None, exact=False):
 
 def _suite_metric_axioms(rng, ctx):
     space = ctx["space"]
-    a = random_point(rng, space, exact=ctx["exact"], window=ctx["window"])
-    b = random_point(rng, space, exact=ctx["exact"], window=ctx["window"])
-    c = random_point(rng, space, exact=ctx["exact"], window=ctx["window"])
+    a, b, c = (random_point(rng, space, exact=ctx["exact"], window=ctx["window"]) for _ in range(3))
     residual = float(abs(distance(space, a, a)))
     residual = max(residual, float(abs(distance(space, a, b) - distance(space, b, a))))
     raw = distance(space, a, b) + distance(space, b, c) - distance(space, a, c)
@@ -262,11 +250,33 @@ def _suite_metric_axioms(rng, ctx):
     return residual, ""
 
 
+def _suite_measure(rng, ctx, low, high, space=None, distinct_fibers=False):
+    """A random measure of ``low`` to ``high - 1`` atoms in the trial's mode and window.
+
+    It lives on ``space``, or on the campaign's space when that is None.
+    """
+    return random_measure(
+        rng, ctx["space"] if space is None else space, int(rng.integers(low, high)),
+        exact=ctx["exact"], window=ctx["window"], distinct_fibers=distinct_fibers,
+    )
+
+
+def _flip_residual(mu, nu, fmu, fnu, p, residual=0.0):
+    """The larger of ``residual`` and |W_p(fmu, fnu) - W_p(mu, nu)|, as a trial outcome.
+
+    Both solves must be certified.
+    """
+    before = solve_wasserstein(mu, nu, p=p)
+    after = solve_wasserstein(fmu, fnu, p=p)
+    if not (before.certified and after.certified):
+        return _FAIL, "solver could not certify optimality"
+    return max(residual, float(abs(after.cost - before.cost))), ""
+
+
 def _suite_flip_isometry(rng, ctx):
-    space = Interval(1)
     exact = ctx["exact"]
-    mu = random_measure(rng, space, int(rng.integers(1, 11)), exact=exact)
-    nu = random_measure(rng, space, int(rng.integers(1, 11)), exact=exact)
+    mu = _suite_measure(rng, ctx, 1, 11, space=Interval(1))
+    nu = _suite_measure(rng, ctx, 1, 11, space=Interval(1))
     fmu, fnu = flip(mu), flip(nu)
     if flip_via_cdf(mu).atoms != fmu.atoms:
         return _FAIL, "closed-form flip disagrees with the inverse-CDF route"
@@ -281,11 +291,7 @@ def _suite_flip_isometry(rng, ctx):
             return _FAIL, "flip round trip changed the atom count"
         for (p1, m1), (p2, m2) in zip(back.atoms, mu.atoms):
             residual = max(residual, abs(p1.t - p2.t), abs(m1 - m2))
-    before = solve_wasserstein(mu, nu, p=1)
-    after = solve_wasserstein(fmu, fnu, p=1)
-    if not (before.certified and after.certified):
-        return _FAIL, "solver could not certify optimality"
-    return max(residual, float(abs(after.cost - before.cost))), ""
+    return _flip_residual(mu, nu, fmu, fnu, 1, residual)
 
 
 def _fiber_measure_pair(rng, ctx, max_atoms=8):
@@ -293,26 +299,14 @@ def _fiber_measure_pair(rng, ctx, max_atoms=8):
     limit = max_atoms
     if isinstance(space.base, Finite):
         limit = min(limit, space.base.size)
-    mu = random_measure(
-        rng, space, int(rng.integers(1, limit + 1)), exact=ctx["exact"],
-        window=ctx["window"], distinct_fibers=True,
-    )
-    nu = random_measure(
-        rng, space, int(rng.integers(1, limit + 1)), exact=ctx["exact"],
-        window=ctx["window"], distinct_fibers=True,
-    )
+    mu = _suite_measure(rng, ctx, 1, limit + 1, distinct_fibers=True)
+    nu = _suite_measure(rng, ctx, 1, limit + 1, distinct_fibers=True)
     return mu, nu
 
 
 def _suite_fiber_flip_isometry(rng, ctx):
-    space = ctx["space"]
     mu, nu = _fiber_measure_pair(rng, ctx)
-    q = space.q
-    before = solve_wasserstein(mu, nu, p=q)
-    after = solve_wasserstein(fiber_flip(mu), fiber_flip(nu), p=q)
-    if not (before.certified and after.certified):
-        return _FAIL, "solver could not certify optimality"
-    return float(abs(after.cost - before.cost)), ""
+    return _flip_residual(mu, nu, fiber_flip(mu), fiber_flip(nu), ctx["space"].q)
 
 
 def _suite_coupling_lift_cost(rng, ctx):
@@ -330,15 +324,8 @@ def _suite_coupling_lift_cost(rng, ctx):
 
 
 def _suite_translation_invariance(rng, ctx):
-    space = ctx["space"]
-    exact = ctx["exact"]
-    mu = random_measure(rng, space, int(rng.integers(1, 7)), exact=exact, window=ctx["window"])
-    nu = random_measure(rng, space, int(rng.integers(1, 7)), exact=exact, window=ctx["window"])
-    xi = random_measure(rng, space, int(rng.integers(1, 7)), exact=exact, window=ctx["window"])
-    if exact:
-        c = Fraction(int(rng.integers(1, 16)), 16)
-    else:
-        c = float(rng.uniform(0.05, 0.95))
+    mu, nu, xi = (_suite_measure(rng, ctx, 1, 7) for _ in range(3))
+    c = _scalar(rng, ctx["exact"], _UNIT_INTERIOR, 16)
     lhs = solve_wasserstein(
         convex_combine(c, xi, mu), convex_combine(c, xi, nu), p=1
     ).cost
@@ -347,12 +334,29 @@ def _suite_translation_invariance(rng, ctx):
 
 
 def _suite_duality_gap(rng, ctx):
-    space = ctx["space"]
-    mu = random_measure(rng, space, int(rng.integers(1, 9)), exact=ctx["exact"], window=ctx["window"])
-    nu = random_measure(rng, space, int(rng.integers(1, 9)), exact=ctx["exact"], window=ctx["window"])
+    mu = _suite_measure(rng, ctx, 1, 9)
+    nu = _suite_measure(rng, ctx, 1, 9)
     primal = solve_wasserstein(mu, nu, p=1)
     dual = kr_dual(mu, nu, independent=True)
     return float(abs(float(primal.cost) - float(dual.value))), ""
+
+
+def _ratio_verdict(report, witness):
+    """The worst membership residual of a ratio-set scan, as a trial outcome.
+
+    The set must hold the convex combination, and a member besides it
+    exactly when the trial built a ``witness`` for one.
+    """
+    if not report.convex_combination_included:
+        return _FAIL, "convex combination missing from the ratio set"
+    if report.has_non_convex_member != witness:
+        if witness:
+            return _FAIL, "constructed witness is not a ratio-set member"
+        return _FAIL, "unexpected extra ratio-set member"
+    worst = 0.0
+    for _, residuals, _ in report.members:
+        worst = max(worst, float(abs(residuals[0])), float(abs(residuals[1])))
+    return worst, ""
 
 
 def _suite_ratio_singleton(rng, ctx):
@@ -366,13 +370,7 @@ def _suite_ratio_singleton(rng, ctx):
     lam_choices = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)) if exact else (0.25, 0.5, 0.75)
     lam = lam_choices[int(rng.integers(0, 3))]
     candidates = dirac_pair_mixture_candidates(form, mu.space, step=0.25)
-    report = ratio_set_scan(mu, nu, lam, candidates, tol=ctx["tol"])
-    if not report.convex_combination_included:
-        return _FAIL, "convex combination missing from the ratio set"
-    if report.has_non_convex_member:
-        return _FAIL, "unexpected extra ratio-set member"
-    _, residuals, _ = report.members[0]
-    return max(float(abs(residuals[0])), float(abs(residuals[1]))), ""
+    return _ratio_verdict(ratio_set_scan(mu, nu, lam, candidates, tol=ctx["tol"]), witness=False)
 
 
 def _suite_ratio_witness(rng, ctx):
@@ -381,22 +379,12 @@ def _suite_ratio_witness(rng, ctx):
         mu, nu, lam, xi = collinear_witness_pair(rng, exact=exact)
     else:
         mu, nu, lam, xi = split_residual_witness_pair(rng, exact=exact)
-    report = ratio_set_scan(mu, nu, lam, [xi], tol=ctx["tol"])
-    if not report.convex_combination_included:
-        return _FAIL, "convex combination missing from the ratio set"
-    if not report.has_non_convex_member:
-        return _FAIL, "constructed witness is not a ratio-set member"
-    worst = 0.0
-    for _, residuals, _ in report.members:
-        worst = max(worst, float(abs(residuals[0])), float(abs(residuals[1])))
-    return worst, ""
+    return _ratio_verdict(ratio_set_scan(mu, nu, lam, [xi], tol=ctx["tol"]), witness=True)
 
 
 def _suite_split_additivity(rng, ctx):
-    space = ctx["space"]
-    exact = ctx["exact"]
-    mu = random_measure(rng, space, int(rng.integers(2, 8)), exact=exact, window=ctx["window"])
-    nu = random_measure(rng, space, int(rng.integers(1, 8)), exact=exact, window=ctx["window"])
+    mu = _suite_measure(rng, ctx, 2, 8)
+    nu = _suite_measure(rng, ctx, 1, 8)
     cut = int(rng.integers(1, len(mu.support)))
     subset = list(mu.support)[:cut]
     try:

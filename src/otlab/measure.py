@@ -323,20 +323,14 @@ def residual_decompose(mu, nu):
         return ResidualDecomposition(0, mu, None, None)
     common_part = meet(mu, nu)
     common_masses = common_part.as_dict()
-    mu_rest = []
-    for p, m in mu.atoms:
-        rest = m - common_masses.get(p, 0)
-        if rest != 0:
-            mu_rest.append((p, rest))
-    nu_rest = []
-    for p, m in nu.atoms:
-        rest = m - common_masses.get(p, 0)
-        if rest != 0:
-            nu_rest.append((p, rest))
-    a_mu = _total(mu_rest)
-    a_nu = _total(nu_rest)
-    mu_res = DiscreteMeasure(mu.space, tuple((p, m / a_mu) for p, m in mu_rest))
-    nu_res = DiscreteMeasure(nu.space, tuple((p, m / a_nu) for p, m in nu_rest))
+
+    def residual(side):
+        rest = [(p, m - common_masses.get(p, 0)) for p, m in side.atoms]
+        rest = [(p, r) for p, r in rest if r != 0]
+        a = _total(rest)
+        return a, DiscreteMeasure(side.space, tuple((p, r / a) for p, r in rest))
+
+    (a_mu, mu_res), (_, nu_res) = residual(mu), residual(nu)
     common = common_part.normalized() if common_part.atoms else None
     return ResidualDecomposition(a_mu, common, mu_res, nu_res)
 

@@ -290,7 +290,7 @@ class _CostMatrix:
         except OverflowError:  # a float ** beyond the float range
             finite = False
         if not finite:
-            raise DomainError(f"a cost d**p at p={format_number(p)} is beyond the float range")
+            raise _cost_beyond_range(p)
         return matrix
 
     def _rescue_cells(self, costs, sums, rows, cols, p):
@@ -302,6 +302,11 @@ class _CostMatrix:
         for i, j in np.argwhere((sums < _MIN_NORMAL) | np.isinf(sums)).tolist():
             costs[i, j] = self.powered_distance(rows[i], cols[j], p)
         return costs
+
+
+def _cost_beyond_range(p):
+    """The error for a cost d**p beyond the float range, raised in place of an ``OverflowError``."""
+    return DomainError(f"a cost d**p at p={format_number(p)} is beyond the float range")
 
 
 def _all_finite(matrix):
@@ -719,7 +724,10 @@ def powered_distance(space, a, b, p):
         raise DomainError(f"cost exponent p={p!r} must be >= 1")
     space.validate_point(a)
     space.validate_point(b)
-    return space.powered_distance(a, b, p)
+    try:
+        return space.powered_distance(a, b, p)
+    except OverflowError:  # a float ** beyond the float range
+        raise _cost_beyond_range(p) from None
 
 
 def triangle_defect(space, a, b, c):

@@ -66,16 +66,25 @@ def random_masses(rng, count, exact=False, denominator=64):
     return [float(w) for w in raw / raw.sum()]
 
 
-def _random_fraction(rng, lo, hi, denominator):
-    """A uniform multiple of 1/denominator in [lo, hi].
+def _scalar(rng, exact, window, denominator, exact_window=None):
+    """One uniform draw from the pair ``window`` = (lo, hi), with one call to ``rng``.
 
-    Numerators run from ceil(lo * denominator) to floor(hi * denominator);
-    for a float bound and a power-of-two denominator that product is exact.
+    Exact mode draws a multiple of 1/denominator from ``exact_window``
+    (default: ``window``). Numerators run from ceil(lo * denominator) to
+    floor(hi * denominator); for a float bound and a power-of-two
+    denominator that product is exact.
     """
+    if not exact:
+        return float(rng.uniform(*window))
+    lo, hi = exact_window or window
     low = math.ceil(lo * denominator)
     high = math.floor(hi * denominator)
     if low > high:
         raise DomainError(f"window [{lo!r}, {hi!r}] holds no multiple of 1/{denominator}")
+    if low < -(2**63) or high >= 2**63:  # the generator draws int64 numerators
+        raise DomainError(
+            f"window [{lo!r}, {hi!r}] is too wide to draw multiples of 1/{denominator}"
+        )
     return Fraction(int(rng.integers(low, high + 1)), denominator)
 
 
@@ -93,13 +102,11 @@ def _window_bounds(window):
 def random_point(rng, space, exact=False, window=DEFAULT_WINDOW, denominator=32):
     """One random point of ``space``; exact mode uses bounded-denominator rationals."""
     if isinstance(space, Interval):
-        if exact:
-            return IntervalPoint(_random_fraction(rng, 0, 1, denominator))
-        return IntervalPoint(float(rng.uniform(0, 1)))
+        return IntervalPoint(_scalar(rng, exact, (0, 1), denominator))
     if isinstance(space, Euclidean):
         lo, hi = _window_bounds(window)
         if exact:
-            coords = tuple(_random_fraction(rng, lo, hi, denominator) for _ in range(space.dim))
+            coords = tuple(_scalar(rng, True, (lo, hi), denominator) for _ in range(space.dim))
         else:
             coords = tuple(float(c) for c in rng.uniform(lo, hi, space.dim))
         return EuclideanPoint(coords)

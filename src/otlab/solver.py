@@ -52,6 +52,7 @@ from .errors import (
 )
 from ._numbers import DEFAULT_TOL, format_number, integer_units, root, tolerance
 from .measure import _point_tokens
+from .metric import _cost_beyond_range
 
 __all__ = [
     "Coupling",
@@ -118,12 +119,7 @@ class Coupling:
         return tuple(functools.reduce(operator.add, row) for row in self.weights)
 
     def col_sums(self):
-        n = len(self.col_points)
-        sums = [0] * n
-        for row in self.weights:
-            for k in range(n):
-                sums[k] = sums[k] + row[k]
-        return tuple(sums)
+        return tuple(functools.reduce(operator.add, col, 0) for col in zip(*self.weights))
 
     def cells(self):
         """Positive cells as (j, k, weight) triplets."""
@@ -161,16 +157,19 @@ def coupling_cost(pi, p=1):
     """Total powered cost sum of weight * d(row, col)**p over the plan.
 
     Only the plan's nonzero cells are costed: a vertex plan has at most
-    m + n - 1 of its m * n cells.
+    m + n - 1 of its m * n cells. As in ``cost_matrix``, a cost beyond the
+    float range (inf, or a float power that overflows) is a DomainError.
     """
     _check_plan_points(pi, p)
-    space = pi.space
+    cost = pi.space.powered_distance
     total = 0
-    for j, row in enumerate(pi.weights):
-        y = pi.row_points[j]
-        for k, w in enumerate(row):
-            if w != 0:
-                total = total + w * space.powered_distance(y, pi.col_points[k], p)
+    try:
+        for j, k, w in pi.cells():
+            total = total + w * cost(pi.row_points[j], pi.col_points[k], p)
+    except OverflowError:  # a float ** beyond the float range
+        total = math.inf
+    if total == math.inf:
+        raise _cost_beyond_range(p)
     return total
 
 
@@ -775,35 +774,27 @@ def restrict_and_renormalize(pi, points, side="row"):
     if side not in ("row", "col"):
         raise DomainError(f"side must be 'row' or 'col', got {side!r}")
     points = list(points)
-    if side == "row":
-        keep = [j for j, y in enumerate(pi.row_points) if y in points]
-        lam = 0
-        for j in keep:
-            for w in pi.weights[j]:
-                lam = lam + w
+    # the column side runs the row code on the transposed plan
+    col = side == "col"
+    own, other = (pi.col_points, pi.row_points) if col else (pi.row_points, pi.col_points)
+    lines = tuple(zip(*pi.weights)) if col else pi.weights
+    keep = [j for j, y in enumerate(own) if y in points]
+    # lam sums the kept cells row by row, as the plan holds them, on either
+    # side: summed down the columns, a float lam could change in its last bits
+    if col:
+        cells = (row[k] for row in pi.weights for k in keep)
     else:
-        keep = [k for k, z in enumerate(pi.col_points) if z in points]
-        lam = 0
-        for row in pi.weights:
-            for k in keep:
-                lam = lam + row[k]
+        cells = (w for j in keep for w in lines[j])
+    lam = functools.reduce(operator.add, cells, 0)
     if lam == 0:
         raise DomainError("restriction has zero mass")
-    if side == "row":
-        rows = [pi.row_points[j] for j in keep]
-        scaled = [[w / lam for w in pi.weights[j]] for j in keep]
-        col_keep = [
-            k for k in range(len(pi.col_points)) if any(r[k] != 0 for r in scaled)
-        ]
-        cols = [pi.col_points[k] for k in col_keep]
-        weights = [[r[k] for k in col_keep] for r in scaled]
-    else:
-        cols = [pi.col_points[k] for k in keep]
-        scaled = [[row[k] / lam for k in keep] for row in pi.weights]
-        row_keep = [j for j in range(len(pi.row_points)) if any(w != 0 for w in scaled[j])]
-        rows = [pi.row_points[j] for j in row_keep]
-        weights = [scaled[j] for j in row_keep]
-    return lam, Coupling(pi.space, tuple(rows), tuple(cols), tuple(tuple(r) for r in weights))
+    scaled = [[w / lam for w in lines[j]] for j in keep]
+    other_keep = [k for k in range(len(other)) if any(r[k] != 0 for r in scaled)]
+    rows, cols = [own[j] for j in keep], [other[k] for k in other_keep]
+    weights = [[r[k] for k in other_keep] for r in scaled]
+    if col:
+        rows, cols, weights = cols, rows, zip(*weights)
+    return lam, Coupling(pi.space, rows, cols, weights)
 
 
 # ---------------------------------------------------------------------------

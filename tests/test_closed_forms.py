@@ -4,6 +4,9 @@
   sum_e w_e * |mu(T_e) - nu(T_e)|, for the simplex and for the KR witness.
 * The line, as ``Interval(alpha)`` with alpha * p an integer and as
   ``Euclidean(1)``: the powered cost is that of the monotone coupling.
+  Supports sorted along the line make the northwest start that coupling
+  itself, so these solves take no pivot; the same line as a 256-point
+  ``Finite`` space in shuffled index order makes the simplex pivot.
 """
 
 import random
@@ -103,3 +106,31 @@ def test_line_cost_matches_the_monotone_coupling(space, p, size):
     assert result.arithmetic == "exact"
     assert result.certified
     assert result.powered_cost == monotone_line_cost(*sides, exponent)
+
+
+@pytest.fixture(scope="module")
+def shuffled_line():
+    """256 integer positions on the line, and the exact ``Finite`` space of
+    their distances, whose index order is a shuffle of the line order."""
+    rng = random.Random(256)
+    xs = sorted(rng.sample(range(-2000, 2000), 256))
+    rng.shuffle(xs)
+    return xs, Finite(tuple(tuple(abs(x - y) for y in xs) for x in xs))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("size", [40, 120])
+def test_shuffled_line_cost_matches_the_monotone_coupling_after_pivots(shuffled_line, p, size):
+    xs, space = shuffled_line
+    rng = random.Random(size * 10 + p)
+    sides = [dict(zip(rng.sample(range(len(xs)), size), exact_masses(rng, size))) for _ in range(2)]
+    mu, nu = (
+        DiscreteMeasure(space, tuple((FinitePoint(i), m) for i, m in side.items()))
+        for side in sides
+    )
+    result = solve_wasserstein(mu, nu, p=p)
+    assert result.arithmetic == "exact"
+    assert result.certified
+    assert result.pivots > 0
+    on_the_line = [[(xs[i], m) for i, m in side.items()] for side in sides]
+    assert result.powered_cost == monotone_line_cost(*on_the_line, p)

@@ -26,8 +26,9 @@ from otlab import (
     load_measure,
     solve_wasserstein,
 )
-from otlab.cli import EXIT_USAGE, entry
-from otlab.metric import distance, metric_segment, triangle_defect
+from otlab.cli import EXIT_INVARIANT, EXIT_USAGE, entry
+from otlab.metric import distance, metric_segment, powered_distance, triangle_defect
+from otlab.solver import Coupling, coupling_cost
 from otlab.errors import (
     DomainError,
     InvalidMeasureError,
@@ -387,3 +388,48 @@ def test_exact_product_sum_just_below_the_normal_floats_is_kept_alike():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert space.cost_matrix([float_a, float_b], [float_b], p) == [[want_p], [0.0]]
+
+
+# the scalar cost of each pair raises OverflowError inside the space: a float
+# power beyond the float range, or an exact square too large for a float
+SCALAR_OVERFLOWS = [
+    (Euclidean(2), EuclideanPoint((10**400, 0)), EuclideanPoint((0, 0)), 1),
+    (Euclidean(1), EuclideanPoint((1e200,)), EuclideanPoint((0.0,)), 3),
+    (Finite(((0, 1e200), (1e200, 0))), FinitePoint(0), FinitePoint(1), 2),
+]
+OVERFLOW_IDS = ["exact-plane", "float-line", "finite"]
+
+
+@pytest.mark.parametrize("space, a, b, p", SCALAR_OVERFLOWS, ids=OVERFLOW_IDS)
+def test_powered_distance_beyond_the_float_range_raises_the_cost_matrix_error(space, a, b, p):
+    with pytest.raises(DomainError) as by_matrix:
+        space.cost_matrix([a], [b], p)
+    with pytest.raises(DomainError) as by_pair:
+        powered_distance(space, a, b, p)
+    message = f"a cost d**p at p={p} is beyond the float range"
+    assert str(by_pair.value) == str(by_matrix.value) == message
+
+
+# a float square beyond the float range is inf, without an OverflowError
+INF_SQUARE = (Euclidean(2), EuclideanPoint((1e200, 0.0)), EuclideanPoint((-1e200, 0.0)), 2)
+
+
+@pytest.mark.parametrize(
+    "space, a, b, p", SCALAR_OVERFLOWS + [INF_SQUARE], ids=OVERFLOW_IDS + ["inf-square"]
+)
+def test_coupling_cost_beyond_the_float_range_is_a_domain_error(space, a, b, p):
+    plan = Coupling(space, (a,), (b,), ((1,),))
+    with pytest.raises(DomainError, match=rf"a cost d\*\*p at p={p} is beyond the float range"):
+        coupling_cost(plan, p)
+
+
+def test_lifted_plan_costs_beyond_the_float_range_fail_every_trial(tmp_path, capsys):
+    report, csv = tmp_path / "report.txt", tmp_path / "residuals.csv"
+    args = ["verify", "pi-hat-cost", "--space", "product", "--q", "3", "--window", "1e200"]
+    code = entry([*args, "--trials", "3", "--report", str(report), "--csv", str(csv)])
+    assert code == EXIT_INVARIANT
+    assert "Traceback" not in capsys.readouterr().err
+    trials = [line for line in report.read_text().splitlines() if line.startswith("trial ")]
+    assert len(trials) == 3
+    note = "residual=inf FAIL note=DomainError: a cost d**p at p=3 is beyond the float range"
+    assert all(line.endswith(note) for line in trials)

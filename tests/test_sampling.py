@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from otlab import DomainError, Euclidean, Product, make_rng
+from otlab.cli import EXIT_INVARIANT, entry
 from otlab.sampling import random_measure, random_point
 
 
@@ -50,3 +51,20 @@ def test_default_window_draw_is_pinned():
 def test_window_without_a_grid_point_is_a_domain_error():
     with pytest.raises(DomainError):
         random_point(make_rng(0), Euclidean(1), exact=True, window=(0.1, 0.12))
+
+
+def test_window_too_wide_for_int64_numerators_is_a_domain_error(tmp_path, capsys):
+    # numerators are int64 draws: at window 2**58 the largest, 2**58 * 32, is past them
+    with pytest.raises(DomainError, match="too wide"):
+        random_point(make_rng(0), Euclidean(2), exact=True, window=2.0**58)
+    coords = random_point(make_rng(0), Euclidean(2), exact=True, window=2.0**57).coords
+    assert all(abs(c) <= 2**57 for c in coords)
+    # each rational trial fails with the typed error, and the command exits 1
+    report = tmp_path / "report.txt"
+    args = ["verify", "metric-axioms", "--mode", "rational", "--window", "1e200", "--trials", "2"]
+    code = entry([*args, "--report", str(report), "--csv", str(tmp_path / "residuals.csv")])
+    assert code == EXIT_INVARIANT
+    assert "Traceback" not in capsys.readouterr().err
+    trials = [line for line in report.read_text().splitlines() if line.startswith("trial ")]
+    assert len(trials) == 2
+    assert all("FAIL note=DomainError: window" in line and "too wide" in line for line in trials)
