@@ -19,6 +19,7 @@ terms are, so exact values are compared exactly, even next to floats.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .errors import DomainError
@@ -54,6 +55,10 @@ def tolerance(value, tol=DEFAULT_TOL):
     return 0 if isinstance(value, _EXACT_TYPES) else tol
 
 
+# a plain ASCII integer with an optional sign, or one over an unsigned ASCII denominator
+_RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_number(token: str, exact: bool = False):
     """Parse ``token`` as a number.
 
@@ -62,12 +67,22 @@ def parse_number(token: str, exact: bool = False):
     read exactly, so ``0.3`` becomes 3/10, not the nearest binary float);
     otherwise a ``float``, and a value beyond the float range is a
     ``ValueError``, never ``inf``.
+
+    Every token means what ``Fraction(token)`` reads. A plain integer or
+    ``n/d`` (``_RATIO``) is read directly, as ``int(n)`` or
+    ``Fraction(int(n), int(d))``, whose floats round as ``Fraction``'s do;
+    every other token goes through ``Fraction``'s own grammar.
     """
     token = token.strip()
     if not token:
         raise ValueError("empty number token")
     try:
-        value = Fraction(token)
+        match = _RATIO.fullmatch(token)
+        if match is None:
+            value = Fraction(token)
+        else:
+            num, den = match.groups()
+            value = int(num) if den is None else Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid number {token!r}") from exc
     if exact:
@@ -84,15 +99,26 @@ def format_number(x) -> str:
     Integral values print bare (``0``, ``1``), Fractions as ``p/q``, floats
     via ``repr`` (shortest round-trip form).
     """
-    if isinstance(x, bool):
-        raise TypeError("bool is not a scalar value here")
-    if isinstance(x, int):
+    # the plain types by their exact type first; a bool, a subclass or another
+    # number type takes the isinstance chain
+    kind = type(x)
+    if kind is int:
         return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    xf = float(x)
+    if kind is float:
+        return _format_float(x)
+    if kind is not Fraction:
+        if isinstance(x, bool):
+            raise TypeError("bool is not a scalar value here")
+        if isinstance(x, int):
+            return str(x)
+        if not isinstance(x, Fraction):
+            return _format_float(float(x))
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _format_float(xf):
     if xf == int(xf) and abs(xf) < 1e16:
         return str(int(xf))
     return repr(xf)

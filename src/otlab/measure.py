@@ -1,9 +1,16 @@
 """Finitely supported probability measures and their decompositions.
 
 Atoms are kept in a canonical lexicographic order and merged by exact point
-equality only; there is no tolerance-based merging anywhere. Masses must be
-strictly positive, and float masses below 1e-15 are rejected outright
-(silently dropping them would corrupt marginal checks downstream).
+equality only; there is no tolerance-based merging anywhere. One stable sort
+by ``point_sort_key`` brings equal points together in input order, so a
+merged atom keeps its first point's form and adds its masses in input
+order. Masses must be strictly positive, and float masses below 1e-15 are
+rejected outright (silently dropping them would corrupt marginal checks
+downstream). A probability measure checks exact masses on their integer
+units, which it keeps for the exact solves.
+
+Measure files are read token by token with ``parse_number``: plain integers
+and ``n/d`` ratios directly, every other number through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     DomainError,
@@ -54,31 +62,35 @@ MASS_FLOOR = 1e-15
 
 
 def _canonical_atoms(space, atoms):
-    """Validate, merge exact-duplicate points, drop exact zeros, sort."""
-    merged = {}
-    for point, mass in atoms:
+    """Validate, sort, merge exact-duplicate points, drop exact zeros.
+
+    One stable sort by ``point_sort_key`` puts equal points next to each other
+    in input order, so no point is hashed: a merged atom keeps its first
+    point's form (``Fraction(1, 2)`` before ``0.5``) and adds its masses in
+    input order. The masses are checked in the order their points first
+    occur, so of several bad masses the first one is named.
+    """
+    for point, _ in atoms:
         space.validate_point(point)
-        if point in merged:
-            merged[point] = merged[point] + mass
+    keys = [point_sort_key(point) for point, _ in atoms]
+    merged = []  # [index of the first occurrence, point, mass], in key order
+    for i in sorted(range(len(atoms)), key=keys.__getitem__):
+        if merged and keys[merged[-1][0]] == keys[i]:
+            merged[-1][2] = merged[-1][2] + atoms[i][1]
         else:
-            merged[point] = mass
-    cleaned = []
-    for point, mass in merged.items():
-        if mass == 0:
-            continue
+            merged.append([i, *atoms[i]])
+    for _, point, mass in sorted(merged, key=itemgetter(0)):
         if mass < 0:
             raise InvalidMeasureError(f"negative mass {mass!r} at {point}")
         if isinstance(mass, float):
             if mass != mass:  # NaN fails every comparison above
                 raise InvalidMeasureError(f"mass {mass!r} at {point} is not a number")
-            if mass < MASS_FLOOR:
+            if 0 < mass < MASS_FLOOR:
                 raise InvalidMeasureError(
                     f"mass {mass!r} at {point} is below the 1e-15 floor; "
                     "refusing to drop it silently"
                 )
-        cleaned.append((point, mass))
-    cleaned.sort(key=lambda item: point_sort_key(item[0]))
-    return tuple(cleaned)
+    return tuple((point, mass) for _, point, mass in merged if mass != 0)
 
 
 def _total(atoms):
@@ -92,9 +104,11 @@ def _total(atoms):
 class DiscreteMeasure:
     """Probability measure with finitely many atoms on a metric space.
 
-    ``support``, ``masses`` and the solver's mass units are computed on first
-    use and kept on the instance, outside the dataclass fields: equality,
-    hashing, ``repr`` and pickling see ``space`` and ``atoms`` only.
+    ``support``, ``masses`` and the solver's mass units are kept on the
+    instance, outside the dataclass fields: equality, hashing, ``repr`` and
+    pickling see ``space`` and ``atoms`` only. The total of exact masses is
+    checked on their integer units, which fills the units' cache; a float
+    total is checked within the tolerance.
     """
 
     space: object
@@ -105,9 +119,20 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise InvalidMeasureError("probability measure needs at least one atom")
-        total = _total(atoms)
-        if abs(total - 1) > tolerance(total):
-            raise InvalidMeasureError(f"masses sum to {total}, expected 1 within {tolerance(total)}")
+        masses = tuple(m for _, m in atoms)
+        object.__setattr__(self, "masses", masses)
+        if all_exact(masses):
+            units, L = integer_units(masses)
+            total = sum(units)
+            if total == L:
+                object.__setattr__(self, "_mass_units", (tuple(units), L))
+                return
+            total = Fraction(total, L)
+        else:
+            total = _total(atoms)
+            if not abs(total - 1) > tolerance(total):
+                return
+        raise InvalidMeasureError(f"masses sum to {total}, expected 1 within {tolerance(total)}")
 
     @cached_property
     def support(self):

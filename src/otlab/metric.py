@@ -319,8 +319,17 @@ def _all_finite(matrix):
 
 
 def _check_unit_range(t, what):
-    if not (0 <= t <= 1):
+    # an exact Fraction on its ints: its denominator is positive
+    inside = 0 <= t.numerator <= t.denominator if type(t) is Fraction else 0 <= t <= 1
+    if not inside:
         raise SpaceMismatchError(f"{what} coordinate {t!r} outside [0, 1]")
+
+
+def _check_cost_exponent(p):
+    """The one rule for a cost exponent p: a finite number >= 1, or a DomainError."""
+    if not 1 <= p < math.inf:
+        rule = "be finite" if p == math.inf else "be >= 1"
+        raise DomainError(f"cost exponent p={p!r} must {rule}")
 
 
 def _check_alpha(alpha):
@@ -720,8 +729,7 @@ def distance(space, a, b):
 
 def powered_distance(space, a, b, p):
     """d(a, b) ** p, computed without roots whenever the exponents allow."""
-    if not p >= 1:
-        raise DomainError(f"cost exponent p={p!r} must be >= 1")
+    _check_cost_exponent(p)
     space.validate_point(a)
     space.validate_point(b)
     try:

@@ -52,7 +52,7 @@ from .errors import (
 )
 from ._numbers import DEFAULT_TOL, format_number, integer_units, root, tolerance
 from .measure import _point_tokens
-from .metric import _cost_beyond_range
+from .metric import _check_cost_exponent, _cost_beyond_range
 
 __all__ = [
     "Coupling",
@@ -147,8 +147,7 @@ def validate_coupling(pi, mu, nu, tol=DEFAULT_TOL):
 
 def _check_plan_points(pi, p):
     """Check p and every row and column point of the plan, each point once."""
-    if not p >= 1:
-        raise DomainError(f"cost exponent p={p!r} must be >= 1")
+    _check_cost_exponent(p)
     for point in pi.row_points + pi.col_points:
         pi.space.validate_point(point)
 
@@ -503,8 +502,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """
     if mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
-    if not p >= 1:
-        raise DomainError(f"cost exponent p={p!r} must be >= 1")
+    _check_cost_exponent(p)
     space = mu.space
     rows = mu.support
     cols = nu.support

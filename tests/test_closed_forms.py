@@ -134,3 +134,22 @@ def test_shuffled_line_cost_matches_the_monotone_coupling_after_pivots(shuffled_
     assert result.pivots > 0
     on_the_line = [[(xs[i], m) for i, m in side.items()] for side in sides]
     assert result.powered_cost == monotone_line_cost(*on_the_line, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_shuffled_line_cost_matches_the_monotone_coupling_on_all_256_points(shuffled_line, p):
+    """Both measures charge every point of the line, so m = n = 256."""
+    xs, space = shuffled_line
+    rng = random.Random(2560 + p)
+    sides = [dict(zip(range(len(xs)), exact_masses(rng, len(xs)))) for _ in range(2)]
+    mu, nu = (
+        DiscreteMeasure(space, tuple((FinitePoint(i), m) for i, m in side.items()))
+        for side in sides
+    )
+    result = solve_wasserstein(mu, nu, p=p)
+    assert len(mu.atoms) == len(nu.atoms) == 256
+    assert result.arithmetic == "exact"
+    assert result.certified
+    assert result.pivots > 0
+    on_the_line = [[(xs[i], m) for i, m in side.items()] for side in sides]
+    assert result.powered_cost == monotone_line_cost(*on_the_line, p)
