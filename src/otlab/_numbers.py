@@ -99,26 +99,15 @@ def format_number(x) -> str:
     Integral values print bare (``0``, ``1``), Fractions as ``p/q``, floats
     via ``repr`` (shortest round-trip form).
     """
-    # the plain types by their exact type first; a bool, a subclass or another
-    # number type takes the isinstance chain
-    kind = type(x)
-    if kind is int:
+    if isinstance(x, bool):
+        raise TypeError("bool is not a scalar value here")
+    if isinstance(x, int):
         return str(x)
-    if kind is float:
-        return _format_float(x)
-    if kind is not Fraction:
-        if isinstance(x, bool):
-            raise TypeError("bool is not a scalar value here")
-        if isinstance(x, int):
-            return str(x)
-        if not isinstance(x, Fraction):
-            return _format_float(float(x))
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _format_float(xf):
+    if isinstance(x, Fraction):
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    xf = float(x)
     if xf == int(xf) and abs(xf) < 1e16:
         return str(int(xf))
     return repr(xf)

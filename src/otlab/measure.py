@@ -119,13 +119,11 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise InvalidMeasureError("probability measure needs at least one atom")
-        masses = tuple(m for _, m in atoms)
-        object.__setattr__(self, "masses", masses)
-        if all_exact(masses):
-            units, L = integer_units(masses)
+        units = self._mass_units
+        if units is not None:
+            units, L = units
             total = sum(units)
             if total == L:
-                object.__setattr__(self, "_mass_units", (tuple(units), L))
                 return
             total = Fraction(total, L)
         else:
