@@ -14,10 +14,11 @@ arithmetic allows; q-th roots are deferred to ``distance`` so powered values
 can be compared without ever taking roots in exact mode.
 
 Every space kind also builds the whole m x n matrix of powered distances
-between two point lists with ``cost_matrix``; on float coordinates it
-broadcasts in numpy, cell for cell bit-identical to ``powered_distance``.
-When every cell is exact, ``_unit_costs`` builds the same matrix in integer
-units straight from the coordinates, for the solver's exact path.
+between two point lists with ``cost_matrix``, from one formula per kind run
+by an evaluator: ``_Floats`` in numpy on float coordinates, cell for cell
+bit-identical to ``powered_distance``, or ``_Units`` in integer units when
+every cell is exact, for the solver's exact path. An evaluator that cannot
+build a matrix gives up, and ``_float_costs`` or ``_unit_costs`` returns None.
 """
 
 from __future__ import annotations
@@ -120,15 +121,16 @@ def point_sort_key(point):
 
 
 # ---------------------------------------------------------------------------
-# float cost matrices
+# cost matrices: one formula per space kind, two evaluators
 #
-# Each helper repeats, on float64 arrays, the operations of the scalar code it
-# names, in the same order, so every cell comes out bit for bit the same.
-# Differences, abs, products, sums and square roots are IEEE operations with
-# one correctly rounded result in numpy and in Python alike. ``np.power`` is
-# not: it differs from Python's float ``**`` (libm ``pow``) in the last digit,
-# even at integer exponents, so every power other than 1 goes through
-# Python's ``**`` one cell at a time.
+# ``_costs(ev, rows, cols, p)`` of every space kind is its one formula for the
+# matrix of ``powered_distance``, in the operations of an evaluator ``ev``.
+# ``delta`` and ``power`` check their own exponent; a formula passes any other
+# to ``ev.check`` first, so the units refuse a matrix (``_GiveUp``) before a cell.
+
+
+class _GiveUp(Exception):
+    """An evaluator cannot build the cost matrix asked of it."""
 
 
 def _floats(values):
@@ -138,40 +140,133 @@ def _floats(values):
     return None
 
 
-def _power_cells(values, exponent):
-    """``x ** exponent`` for every cell x of a 2-d float array, by Python's float ``**``.
+class _Floats:
+    """The formulas on float64 arrays, when every coordinate (or ``Finite`` entry) is a float.
 
-    The array is returned as it is at exponent 1, where ``x ** 1.0 == x``.
-    So ``_power_cells(np.abs(delta), e)`` is :func:`powered_abs` over an array:
-    for a float magnitude, powered_abs raises it to float(e) in every branch,
-    and leaves it alone at exponent 1.
+    Each operation repeats the scalar code's operations in the same order, so
+    every cell comes out bit for bit the same. Differences, abs, products, sums
+    and square roots are IEEE operations with one correctly rounded result in
+    numpy and in Python alike. ``np.power`` is not: it differs from Python's
+    float ``**`` (libm ``pow``) in the last digit, even at integer exponents,
+    so every power other than 1 goes through Python's ``**`` one cell at a time.
     """
-    e = float(exponent)
-    if e == 1.0:
-        return values
-    return np.array([[x ** e for x in row] for row in values.tolist()], dtype=float)
+
+    def check(self, *exponents):
+        pass  # every exponent has a float power
+
+    def delta(self, ys, zs, e):
+        """``powered_abs(y - z, e)`` over ys x zs."""
+        s, t = _floats(ys), _floats(zs)
+        if s is None or t is None:
+            raise _GiveUp
+        return self.power(np.abs(s[:, None] - t[None, :]), e)
+
+    def mul(self, a, b):
+        return a * b
+
+    def add(self, a, b):
+        return a + b
+
+    def power(self, values, e):
+        """``x ** e`` for every cell x, by Python's float ``**``.
+
+        The array is returned as it is at exponent 1, where ``x ** 1.0 == x``.
+        So ``power(np.abs(delta), e)`` is :func:`powered_abs` over an array:
+        for a float magnitude, powered_abs raises it to float(e) in every
+        branch, and leaves it alone at exponent 1.
+        """
+        e = float(e)
+        if e == 1.0:
+            return values
+        return np.array([[x ** e for x in row] for row in values.tolist()], dtype=float)
+
+    def root(self, values, q):
+        """:func:`root` over costs.
+
+        ``root`` clamps negative rounding dust to zero first; a cost here is a
+        sum of nonnegative terms, so there is none to clamp.
+        """
+        if q == 2:
+            return np.sqrt(values)
+        return self.power(values, 1.0 / float(q))  # the values as they are at q == 1
+
+    def entries(self, space, rows, cols):
+        """The cells ``abs(d(y, z))`` of a ``Finite`` space's float matrix."""
+        matrix = space._float_matrix
+        if matrix is None:
+            raise _GiveUp
+        r = np.array([y.index for y in rows], dtype=np.intp)
+        c = np.array([z.index for z in cols], dtype=np.intp)
+        return np.abs(matrix[np.ix_(r, c)])
+
+    def rescue(self, space, costs, sums, rows, cols, p):
+        """``costs``, the roots of the float ``sums``, redone where a sum may have lost its root.
+
+        Each cell whose sum is inf or below the smallest normal float takes
+        ``powered_distance``, which rescales it where :func:`_lost_root` says so.
+        """
+        for i, j in np.argwhere((sums < _MIN_NORMAL) | np.isinf(sums)).tolist():
+            costs[i, j] = space.powered_distance(rows[i], cols[j], p)
+        return costs
 
 
-def _t_costs(rows, cols, exponent):
-    """``powered_abs(y.t - z.t, exponent)`` over rows x cols, or None unless every t is a float."""
-    s = _floats([y.t for y in rows])
-    t = _floats([z.t for z in cols])
-    if s is None or t is None:
-        return None
-    return _power_cells(np.abs(s[:, None] - t[None, :]), exponent)
+class _Units:
+    """The formulas in exact integer units, when every cell is an int or a Fraction.
 
-
-def _root_cells(values, q):
-    """:func:`root` over a 2-d float array of costs.
-
-    ``root`` clamps negative rounding dust to zero first; a broadcast cost is
-    a sum of nonnegative terms, so there is none to clamp.
+    A matrix is ``(C, S)``, a list of lists of ints with C[i][k] / S the
+    cell. Coordinates are scaled once by the lcm of their denominators, so no
+    Fraction is made per cell. An exponent must be integral, by the rule of
+    ``powered_abs``.
     """
-    if q == 1:
-        return values
-    if q == 2:
-        return np.sqrt(values)
-    return _power_cells(values, 1.0 / float(q))
+
+    def check(self, *exponents):
+        if any(e != int(e) for e in exponents):
+            raise _GiveUp
+
+    def delta(self, ys, zs, e):
+        self.check(e)
+        if not all_exact(ys + zs):
+            raise _GiveUp
+        units, L = integer_units(ys + zs)
+        rows, cols = units[: len(ys)], units[len(ys) :]
+        return self.power(([[abs(y - z) for z in cols] for y in rows], L), e)
+
+    def mul(self, a, b):
+        (A, sa), (B, sb) = a, b
+        return [[x * y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)], sa * sb
+
+    def add(self, a, b):
+        (A, sa), (B, sb) = a, b
+        scale = math.lcm(sa, sb)
+        ka, kb = scale // sa, scale // sb
+        return [[x * ka + y * kb for x, y in zip(ra, rb)] for ra, rb in zip(A, B)], scale
+
+    def power(self, units, e):
+        if e == 1:
+            return units
+        self.check(e)
+        e = int(e)
+        C, S = units
+        return [[c**e for c in row] for row in C], S**e
+
+    def root(self, units, q):
+        # the q-th root of an exact cost stays exact only at q == 1
+        if q != 1:
+            raise _GiveUp
+        return units
+
+    def entries(self, space, rows, cols):
+        # a mixed matrix can have all-exact blocks, so only the selected cells count
+        matrix, L = space._unit_matrix
+        picks = [z.index for z in cols]
+        cells = [[matrix[y.index][k] for k in picks] for y in rows]
+        for row in cells:
+            if None in row:
+                raise _GiveUp
+        return cells, L
+
+    def rescue(self, space, costs, sums, rows, cols, p):
+        return costs  # an exact sum keeps its root
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +313,12 @@ def _scaled_norm(magnitudes, q):
 
 
 # ---------------------------------------------------------------------------
-# exact cost matrices in integer units
-#
-# ``_unit_costs(rows, cols, p)`` of every space kind returns (C, S), a list of
-# lists of ints with C[i][k] / S == powered_distance(rows[i], cols[k], p), or
-# None when some cell of that matrix is not an int or a Fraction. Coordinates
-# are scaled once by the lcm of their denominators, so no Fraction is made per
-# cell. An exponent is integral by the rule of ``powered_abs``.
+# spaces
 #
 # ``_int_cost(a, b)`` of every space kind says whether an exact
 # ``powered_distance(a, b, p)`` is an int rather than a Fraction. The solver
 # asks it on the cells of its final tree only, to give each potential the type
 # the Fraction arithmetic along its tree path would give it.
-
-
-def _integral(exponent):
-    """``exponent`` as an int when it equals one, else None."""
-    return int(exponent) if exponent == int(exponent) else None
 
 
 def _no_fraction(values):
@@ -247,24 +331,8 @@ def _no_fraction(values):
     return not any(isinstance(v, Fraction) for v in values)
 
 
-def _delta_units(ys, zs, exponent):
-    """``powered_abs(y - z, exponent)`` over ys x zs in integer units, or None."""
-    e = _integral(exponent)
-    if e is None or not all_exact(ys + zs):
-        return None
-    units, L = integer_units(ys + zs)
-    rows, cols = units[: len(ys)], units[len(ys) :]
-    if e == 1:
-        return [[abs(y - z) for z in cols] for y in rows], L
-    return [[abs(y - z) ** e for z in cols] for y in rows], L**e
-
-
-# ---------------------------------------------------------------------------
-# spaces
-
-
 class _CostMatrix:
-    """The cost matrix every space kind builds from its ``powered_distance``."""
+    """The cost matrix every space kind builds from its ``_costs`` formula."""
 
     _int_costs = False  # whether every exact cost is an int (in units of 1); see ``Finite``
 
@@ -293,15 +361,22 @@ class _CostMatrix:
             raise _cost_beyond_range(p)
         return matrix
 
-    def _rescue_cells(self, costs, sums, rows, cols, p):
-        """``costs``, the roots of the float ``sums``, redone where a sum may have lost its root.
+    def _float_costs(self, rows, cols, p):
+        """The cost matrix as a float64 array, or None unless every coordinate is a float."""
+        try:
+            # a difference or a square can overflow; cost_matrix refuses the
+            # inf cells, so numpy need not warn about them
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._costs(_Floats(), rows, cols, p)
+        except _GiveUp:
+            return None
 
-        Each cell whose sum is inf or below the smallest normal float takes
-        ``powered_distance``, which rescales it where :func:`_lost_root` says so.
-        """
-        for i, j in np.argwhere((sums < _MIN_NORMAL) | np.isinf(sums)).tolist():
-            costs[i, j] = self.powered_distance(rows[i], cols[j], p)
-        return costs
+    def _unit_costs(self, rows, cols, p):
+        """The cost matrix in integer units, or None unless every cell is exact."""
+        try:
+            return self._costs(_Units(), rows, cols, p)
+        except _GiveUp:
+            return None
 
 
 def _cost_beyond_range(p):
@@ -333,8 +408,8 @@ def _check_cost_exponent(p):
 
 
 def _check_alpha(alpha):
-    if not (0 < alpha <= 1):
-        raise InvalidSpaceError(f"snowflake exponent alpha={alpha!r} outside (0, 1]")
+    if isinstance(alpha, bool) or not (0 < alpha <= 1):
+        raise InvalidSpaceError(f"snowflake exponent alpha={alpha!r} is not a number in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -360,11 +435,8 @@ class Interval(_CostMatrix):
     def _int_cost(self, a, b):
         return _no_fraction((a.t, b.t))
 
-    def _float_costs(self, rows, cols, p):
-        return _t_costs(rows, cols, _mul_exponents(self.alpha, p))
-
-    def _unit_costs(self, rows, cols, p):
-        return _delta_units([y.t for y in rows], [z.t for z in cols], _mul_exponents(self.alpha, p))
+    def _costs(self, ev, rows, cols, p):
+        return ev.delta([y.t for y in rows], [z.t for z in cols], _mul_exponents(self.alpha, p))
 
     def describe(self):
         return f"interval:alpha={format_number(self.alpha)}"
@@ -377,7 +449,7 @@ class Euclidean(_CostMatrix):
     dim: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.dim, int) and self.dim >= 1):
+        if isinstance(self.dim, bool) or not (isinstance(self.dim, int) and self.dim >= 1):
             raise InvalidSpaceError(f"dimension must be a positive integer, got {self.dim!r}")
 
     def validate_point(self, p):
@@ -429,47 +501,18 @@ class Euclidean(_CostMatrix):
     def _int_cost(self, a, b):
         return _no_fraction(a.coords + b.coords)
 
-    def _float_costs(self, rows, cols, p):
-        ys = _floats([c for y in rows for c in y.coords])
-        zs = _floats([c for z in cols for c in z.coords])
-        if ys is None or zs is None:
-            return None
-        ys = ys.reshape(len(rows), self.dim)
-        zs = zs.reshape(len(cols), self.dim)
-        # the only broadcast whose arithmetic can overflow; cost_matrix
-        # refuses the inf cells, so numpy need not warn about them
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.dim == 1:
-                return _power_cells(np.abs(ys[:, :1] - zs[None, :, 0]), p)
-            # _sq's running sum, dimension by dimension from the first square;
-            # a finite float sq is raised to float(p) / 2 in every branch above
-            sq = None
-            for k in range(self.dim):
-                d = ys[:, None, k] - zs[None, :, k]
-                sq = d * d if sq is None else sq + d * d
-            costs = _power_cells(sq, float(p) / 2.0)
-            e = _integral(p)
-            if e is not None and e % 2 == 0:
-                return costs
-            return self._rescue_cells(costs, sq, rows, cols, p)
-
-    def _unit_costs(self, rows, cols, p):
+    def _costs(self, ev, rows, cols, p):
         if self.dim == 1:
-            return _delta_units([y.coords[0] for y in rows], [z.coords[0] for z in cols], p)
-        # a squared norm is exact, and raised to p / 2 only at an even p
-        e = _integral(p)
-        coords = [c for y in rows for c in y.coords] + [c for z in cols for c in z.coords]
-        if e is None or e % 2 or not all_exact(coords):
-            return None
-        units, L = integer_units(coords)
-        dim = self.dim
-        points = [units[k : k + dim] for k in range(0, len(units), dim)]
-        half = e // 2
-        costs = [
-            [sum((a - b) * (a - b) for a, b in zip(y, z)) ** half for z in points[len(rows) :]]
-            for y in points[: len(rows)]
-        ]
-        return costs, L**e
+            return ev.delta([y.coords[0] for y in rows], [z.coords[0] for z in cols], p)
+        # _sq's running sum of d * d, raised to p / 2; the units of each dimension
+        # merge to those of all coordinates: the lcm of squares is the lcm squared
+        half = _mul_exponents(p, Fraction(1, 2))
+        ev.check(half)
+        for k in range(self.dim):
+            d = ev.delta([y.coords[k] for y in rows], [z.coords[k] for z in cols], 1)
+            sq = ev.mul(d, d) if k == 0 else ev.add(sq, ev.mul(d, d))
+        costs = ev.power(sq, half)
+        return costs if half == int(half) else ev.rescue(self, costs, sq, rows, cols, p)
 
     def describe(self):
         return f"euclidean:dim={self.dim}"
@@ -569,13 +612,8 @@ class Finite(_CostMatrix):
         flat = _floats([v for row in self.matrix for v in row])
         return None if flat is None else flat.reshape(self.size, self.size)
 
-    def _float_costs(self, rows, cols, p):
-        matrix = self._float_matrix
-        if matrix is None:
-            return None
-        r = np.array([y.index for y in rows], dtype=np.intp)
-        c = np.array([z.index for z in cols], dtype=np.intp)
-        return _power_cells(np.abs(matrix[np.ix_(r, c)]), p)
+    def _costs(self, ev, rows, cols, p):
+        return ev.power(ev.entries(self, rows, cols), p)
 
     @cached_property
     def _unit_matrix(self):
@@ -590,22 +628,6 @@ class Finite(_CostMatrix):
     @cached_property
     def _int_costs(self):  # true when no entry is a Fraction
         return _no_fraction(v for row in self.matrix for v in row)
-
-    def _unit_costs(self, rows, cols, p):
-        # a mixed matrix can have all-exact blocks, so only the selected cells count
-        e = _integral(p)
-        if e is None:
-            return None
-        matrix, L = self._unit_matrix
-        picks = [z.index for z in cols]
-        costs = []
-        for y in rows:
-            row = matrix[y.index]
-            cells = [row[k] for k in picks]
-            if None in cells:
-                return None
-            costs.append(cells if e == 1 else [c**e for c in cells])
-        return costs, L**e
 
     def describe(self):
         return f"finite:n={self.size}"
@@ -624,8 +646,8 @@ class Product(_CostMatrix):
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not self.q >= 1:
-            raise InvalidSpaceError(f"exponent q={self.q!r} must be >= 1")
+        if isinstance(self.q, bool) or not 1 <= self.q < math.inf:
+            raise InvalidSpaceError(f"exponent q={self.q!r} is not a finite number >= 1")
         if isinstance(self.base, Product):
             raise InvalidSpaceError("nested product spaces are not supported")
 
@@ -646,43 +668,20 @@ class Product(_CostMatrix):
         # at p != q an exact cost is the p-th power of the one at q == 1
         return _no_fraction((a.t, b.t)) and self.base._int_cost(a.x, b.x)
 
-    def _float_costs(self, rows, cols, p):
+    def _costs(self, ev, rows, cols, p):
         if p == self.q:
-            fiber = _t_costs(rows, cols, _mul_exponents(self.alpha, self.q))
-            if fiber is None:
-                return None
-            base = self.base._float_costs([y.x for y in rows], [z.x for z in cols], self.q)
-            return None if base is None else fiber + base
+            e = _mul_exponents(self.alpha, self.q)
+            fiber = ev.delta([y.t for y in rows], [z.t for z in cols], e)
+            base = self.base._costs(ev, [y.x for y in rows], [z.x for z in cols], self.q)
+            return ev.add(fiber, base)
+        # the p-th power of the q-th root, whose exponent 1 / q is integral only at q == 1
+        ev.check(p, 1 / self.q)
         try:
-            sums = self._float_costs(rows, cols, self.q)
+            sums = self._costs(ev, rows, cols, self.q)
         except OverflowError:  # a float ** of the base beyond the float range
-            return None  # the scalar code rescales it
-        if sums is None:
-            return None
-        costs = _power_cells(np.abs(_root_cells(sums, self.q)), p)
-        return costs if self.q == 1 else self._rescue_cells(costs, sums, rows, cols, p)
-
-    def _unit_costs(self, rows, cols, p):
-        if p == self.q:
-            fiber = _delta_units(
-                [y.t for y in rows], [z.t for z in cols], _mul_exponents(self.alpha, self.q)
-            )
-            if fiber is None:
-                return None
-            base = self.base._unit_costs([y.x for y in rows], [z.x for z in cols], self.q)
-            if base is None:
-                return None
-            (F, fs), (B, bs) = fiber, base
-            scale = math.lcm(fs, bs)
-            kf, kb = scale // fs, scale // bs
-            return [[f * kf + b * kb for f, b in zip(fr, br)] for fr, br in zip(F, B)], scale
-        # the q-th root of an exact cost stays exact only at q == 1
-        e = _integral(p)
-        units = None if self.q != 1 or e is None else self._unit_costs(rows, cols, self.q)
-        if units is None:
-            return None
-        costs, scale = units
-        return [[c**e for c in row] for row in costs], scale**e
+            raise _GiveUp from None  # the scalar code rescales it
+        costs = ev.power(ev.root(sums, self.q), p)
+        return costs if self.q == 1 else ev.rescue(self, costs, sums, rows, cols, p)
 
     def distance(self, a, b):
         try:

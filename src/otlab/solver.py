@@ -51,7 +51,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from ._numbers import DEFAULT_TOL, format_number, integer_units, root, tolerance
-from .measure import _point_tokens
+from .measure import _point_tokens, _require_same_space
 from .metric import _check_cost_exponent, _cost_beyond_range
 
 __all__ = [
@@ -500,8 +500,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     several plans are optimal, which one comes back (and its potentials) is
     up to the pivot rule; the cost is not.
     """
-    if mu.space != nu.space:
-        raise SpaceMismatchError("measures live on different spaces")
+    _require_same_space(mu, nu)
     _check_cost_exponent(p)
     space = mu.space
     rows = mu.support
@@ -665,8 +664,7 @@ def kr_dual(mu, nu, independent=False, tol=DEFAULT_TOL):
     explicit LP over the values f(z) with pairwise Lipschitz constraints
     (scipy linprog), sharing nothing with the simplex path.
     """
-    if mu.space != nu.space:
-        raise SpaceMismatchError("measures live on different spaces")
+    _require_same_space(mu, nu)
     if not independent:
         return _kr_witness(mu, nu, solve_wasserstein(mu, nu, p=1, tol=tol))
     space = mu.space
