@@ -17,211 +17,33 @@ The package ships four layers:
 
 ``campaign`` bundles randomized verification suites behind seeds, and
 ``cli`` exposes everything as the ``otlab`` command.
+
+Each public module's ``__all__`` is its one list of public names; the
+package re-exports those lists whole.
 """
 
-from .errors import (
-    BudgetError,
-    CouplingError,
-    DomainError,
-    FiberCollisionError,
-    InvalidMeasureError,
-    InvalidSpaceError,
-    InvariantError,
-    OTLabError,
-    ParseError,
-    SolverStallError,
-    SpaceMismatchError,
-)
+from . import errors, isometry, measure, metric, rigidity, sampling, solver
 from ._numbers import DEFAULT_TOL, format_number, parse_number
-from .metric import (
-    Euclidean,
-    EuclideanPoint,
-    Finite,
-    FinitePoint,
-    Interval,
-    IntervalPoint,
-    MetricSpace,
-    Point,
-    Product,
-    ProductPoint,
-    distance,
-    load_finite_space,
-    metric_segment,
-    point_sort_key,
-    powered_distance,
-    segment_is_trivial,
-    triangle_defect,
-)
-from .measure import (
-    MASS_FLOOR,
-    DiscreteMeasure,
-    Disintegration,
-    ResidualDecomposition,
-    SubProbabilityMeasure,
-    convex_combine,
-    disintegrate,
-    dump_measure,
-    load_measure,
-    meet,
-    measures_close,
-    push_forward,
-    reassemble,
-    residual_decompose,
-)
-from .solver import (
-    Coupling,
-    DualPotential,
-    MonotonicityReport,
-    TransportResult,
-    check_cyclical_monotonicity,
-    coupling_cost,
-    kr_dual,
-    restrict_and_renormalize,
-    result_record,
-    result_to_json,
-    solve_wasserstein,
-    validate_coupling,
-)
-from .isometry import (
-    IntervalIsometry,
-    StepCDF,
-    apply_interval_isometry,
-    cdf,
-    fiber_flip,
-    fiberwise,
-    flip,
-    flip_coupling,
-    flip_via_cdf,
-    generalized_inverse,
-    is_fiber_injective,
-    reflect,
-)
-from .rigidity import (
-    DiracPairForm,
-    GeodesicExtension,
-    RatioSetReport,
-    SpeedCheckReport,
-    SplitTransport,
-    build_geodesic_extension,
-    detect_dirac_pair_form,
-    dirac_pair_mixture_candidates,
-    extend_geodesic,
-    geodesic_speed_check,
-    induction_family_generator,
-    ratio_set_membership,
-    ratio_set_scan,
-    split_transport,
-)
-from .sampling import (
-    DEFAULT_WINDOW,
-    make_rng,
-    random_coupling,
-    random_finite_space,
-    random_masses,
-    random_measure,
-    random_point,
-)
+from .errors import *
+from .metric import *
+from .measure import *
+from .solver import *
+from .isometry import *
+from .rigidity import *
+from .sampling import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "OTLabError",
-    "InvalidSpaceError",
-    "SpaceMismatchError",
-    "InvalidMeasureError",
-    "CouplingError",
-    "SolverStallError",
-    "BudgetError",
-    "DomainError",
-    "InvariantError",
-    "FiberCollisionError",
-    "ParseError",
-    # numbers
+    *errors.__all__,
     "DEFAULT_TOL",
     "parse_number",
     "format_number",
-    # metric
-    "IntervalPoint",
-    "EuclideanPoint",
-    "FinitePoint",
-    "ProductPoint",
-    "Point",
-    "Interval",
-    "Euclidean",
-    "Finite",
-    "Product",
-    "MetricSpace",
-    "point_sort_key",
-    "distance",
-    "powered_distance",
-    "triangle_defect",
-    "metric_segment",
-    "segment_is_trivial",
-    "load_finite_space",
-    # measures
-    "MASS_FLOOR",
-    "DiscreteMeasure",
-    "SubProbabilityMeasure",
-    "Disintegration",
-    "ResidualDecomposition",
-    "convex_combine",
-    "push_forward",
-    "disintegrate",
-    "reassemble",
-    "meet",
-    "residual_decompose",
-    "measures_close",
-    "load_measure",
-    "dump_measure",
-    # solver
-    "Coupling",
-    "TransportResult",
-    "DualPotential",
-    "MonotonicityReport",
-    "coupling_cost",
-    "validate_coupling",
-    "solve_wasserstein",
-    "kr_dual",
-    "check_cyclical_monotonicity",
-    "restrict_and_renormalize",
-    "result_record",
-    "result_to_json",
-    # isometries
-    "IntervalIsometry",
-    "StepCDF",
-    "cdf",
-    "generalized_inverse",
-    "flip",
-    "flip_via_cdf",
-    "reflect",
-    "apply_interval_isometry",
-    "fiberwise",
-    "fiber_flip",
-    "is_fiber_injective",
-    "flip_coupling",
-    # rigidity
-    "DiracPairForm",
-    "RatioSetReport",
-    "SplitTransport",
-    "GeodesicExtension",
-    "SpeedCheckReport",
-    "detect_dirac_pair_form",
-    "ratio_set_membership",
-    "ratio_set_scan",
-    "dirac_pair_mixture_candidates",
-    "split_transport",
-    "build_geodesic_extension",
-    "extend_geodesic",
-    "geodesic_speed_check",
-    "induction_family_generator",
-    # sampling
-    "DEFAULT_WINDOW",
-    "make_rng",
-    "random_masses",
-    "random_point",
-    "random_measure",
-    "random_coupling",
-    "random_finite_space",
+    *metric.__all__,
+    *measure.__all__,
+    *solver.__all__,
+    *isometry.__all__,
+    *rigidity.__all__,
+    *sampling.__all__,
 ]

@@ -81,13 +81,8 @@ class RunConfig:
     space_explicit: bool = False
 
     def __post_init__(self):
-        for key, (field, _, _, flag) in _OPTIONS.items():
-            value = getattr(self, field)
-            if "choices" in flag and value not in flag["choices"]:
-                allowed = " or ".join(repr(c) for c in flag["choices"])
-                raise DomainError(f"{key} must be {allowed}, got {value!r}")
-        if self.space_kind == "product" and (self.alpha is None or self.q is None):
-            raise DomainError("a product space needs both alpha and q")
+        # choices were checked where their text was read: by argparse for a
+        # flag, by parse_config for a file entry
         if not self.tol > 0:
             raise DomainError("tol must be positive")
         if not math.isfinite(self.tol):
@@ -317,7 +312,9 @@ def _campaign_exit(report):
     if report.passed:
         return EXIT_PASS
     for record in report.trials:
-        if record.note.startswith("SolverStallError"):
+        # a failed trial's note is "<error>: <text>"; a scenario puts its
+        # suite first, as in "pi-hat-cost: <error>: <text>"
+        if SolverStallError.__name__ in record.note.split(": ", 2)[:2]:
             return EXIT_NUMERICAL
     return EXIT_INVARIANT
 

@@ -34,7 +34,6 @@ __all__ = [
     "random_masses",
     "random_point",
     "random_measure",
-    "random_separated_points",
     "random_coupling",
     "random_finite_space",
 ]

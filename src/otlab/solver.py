@@ -180,9 +180,16 @@ def _northwest_corner(a, b, m, n):
     """Northwest-corner plan: a flows dict over its m + n - 1 staircase cells, in order.
 
     When a row and a column run out together, the row advances first, so the
-    zero-flow cell that follows joins a new row below the spent column. Rooted
-    at row 0, every cell whose column end is the child then carries positive
-    flow: the start is a strongly feasible tree.
+    zero-flow cell that follows joins a new row below the spent column. With
+    exact masses, rooted at row 0, every cell whose column end is the child
+    then carries positive flow: the start is a strongly feasible tree.
+
+    Float masses can leave dust: the last row runs out while its column keeps
+    a sliver, or the last column while its row does. The walk then steps on
+    with nothing left to ship, and the cell it joins carries zero flow. With
+    a = [1/2, 1/2 - 2e-12] and b = [1/2, 1/2 - 1e-12, 1e-12] that cell is
+    (1, 2), whose column end is the child, so that start is not strongly
+    feasible.
     """
     rem_a = list(a)
     rem_b = list(b)
