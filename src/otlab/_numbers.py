@@ -14,6 +14,11 @@ One rule decides how a check compares: :func:`tolerance` allows 0 for an
 exact value and ``tol`` for a float, so every check is one comparison such as
 ``abs(total - 1) > tolerance(total)``. A sum is exact exactly when all its
 terms are, so exact values are compared exactly, even next to floats.
+
+One rule decides how a total is summed: :func:`plain_sum` adds its terms one
+at a time, left to right from 0, and ``itertools.accumulate`` does the same
+where the running values are kept. So a float total has the same bits on
+every Python version.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "root",
     "denominator_lcm",
     "integer_units",
+    "plain_sum",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -161,3 +167,18 @@ def integer_units(values):
     """``(units, L)``: L is :func:`denominator_lcm` of the exact ``values``, units their ints times L."""
     L = denominator_lcm(values)
     return [v.numerator * (L // v.denominator) for v in values], L
+
+
+def plain_sum(values):
+    """``((0 + v0) + v1) + ...``: the terms of ``values`` added one at a time, in their order.
+
+    From Python 3.12 on the builtin ``sum`` compensates float sums: a float
+    total made with it could change in its last bits between Python versions,
+    sum a plan's two marginals differently, and part from the float cost
+    matrix, which adds a ``Euclidean`` distance's squares one dimension after
+    another. An exact total is the same either way.
+    """
+    total = 0
+    for v in values:
+        total = total + v
+    return total

@@ -104,7 +104,7 @@ class CampaignReport:
 
     @property
     def failures(self):
-        return sum(1 for t in self.trials if not t.passed)
+        return len([t for t in self.trials if not t.passed])
 
 
 # ---------------------------------------------------------------------------

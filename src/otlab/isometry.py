@@ -21,6 +21,7 @@ exactly equal powered cost.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,13 +150,8 @@ def cdf(mu):
     """Cumulative distribution function of an interval measure."""
     if not isinstance(mu.space, Interval):
         raise SpaceMismatchError("cdf needs a measure on the interval")
-    breakpoints = []
-    values = []
-    acc = 0
-    for point, mass in mu.atoms:
-        acc = acc + mass
-        breakpoints.append(point.t)
-        values.append(acc)
+    breakpoints = [point.t for point in mu.support]
+    values = list(itertools.accumulate(mu.masses))
     # the terminal height of a probability CDF is 1 by definition; writing it
     # as such keeps float cumsum dust out of downstream breakpoints
     if abs(values[-1] - 1) <= DEFAULT_TOL:
@@ -210,10 +206,8 @@ def flip(mu):
     atoms = []
     if ts[0] != 0:
         atoms.append((IntervalPoint(zero), ts[0]))
-    acc = 0
-    for i in range(len(ts) - 1):
-        acc = acc + masses[i]
-        atoms.append((IntervalPoint(acc), ts[i + 1] - ts[i]))
+    for acc, t, t_next in zip(itertools.accumulate(masses), ts, ts[1:]):
+        atoms.append((IntervalPoint(acc), t_next - t))
     if ts[-1] != 1:
         atoms.append((IntervalPoint(one), 1 - ts[-1]))
     return DiscreteMeasure(mu.space, tuple(atoms))

@@ -27,7 +27,7 @@ from .errors import (
     SpaceMismatchError,
 )
 from ._numbers import (
-    DEFAULT_TOL, all_exact, format_number, integer_units, is_exact, parse_number, tolerance
+    DEFAULT_TOL, all_exact, format_number, integer_units, is_exact, parse_number, plain_sum, tolerance
 )
 from .metric import (
     Euclidean,
@@ -93,13 +93,6 @@ def _canonical_atoms(space, atoms):
     return tuple((point, mass) for _, point, mass in merged if mass != 0)
 
 
-def _total(atoms):
-    total = 0
-    for _, mass in atoms:
-        total = total + mass
-    return total
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Probability measure with finitely many atoms on a metric space.
@@ -122,12 +115,12 @@ class DiscreteMeasure:
         units = self._mass_units
         if units is not None:
             units, L = units
-            total = sum(units)
+            total = plain_sum(units)
             if total == L:
                 return
             total = Fraction(total, L)
         else:
-            total = _total(atoms)
+            total = plain_sum(m for _, m in atoms)
             if not abs(total - 1) > tolerance(total):
                 return
         raise InvalidMeasureError(f"masses sum to {total}, expected 1 within {tolerance(total)}")
@@ -179,13 +172,13 @@ class SubProbabilityMeasure:
     def __post_init__(self):
         atoms = _canonical_atoms(self.space, self.atoms)
         object.__setattr__(self, "atoms", atoms)
-        total = _total(atoms)
+        total = plain_sum(m for _, m in atoms)
         if total > 1 + tolerance(total):
             raise InvalidMeasureError(f"sub-probability mass {total} exceeds 1 + {tolerance(total)}")
 
     @property
     def total_mass(self):
-        return _total(self.atoms)
+        return plain_sum(m for _, m in self.atoms)
 
     @property
     def support(self):
@@ -279,7 +272,7 @@ def disintegrate(mu):
     marginal_atoms = []
     conditionals = []
     for x, fiber_atoms in by_base.items():
-        weight = _total(fiber_atoms)
+        weight = plain_sum(m for _, m in fiber_atoms)
         marginal_atoms.append((x, weight))
         # an exact weight sums exact masses only; int / int would make a float
         cond_atoms = tuple(
@@ -350,7 +343,7 @@ def residual_decompose(mu, nu):
     def residual(side):
         rest = [(p, m - common_masses.get(p, 0)) for p, m in side.atoms]
         rest = [(p, r) for p, r in rest if r != 0]
-        a = _total(rest)
+        a = plain_sum(r for _, r in rest)
         return a, DiscreteMeasure(side.space, tuple((p, r / a) for p, r in rest))
 
     (a_mu, mu_res), (_, nu_res) = residual(mu), residual(nu)
@@ -378,36 +371,35 @@ def measures_close(mu, nu, tol=DEFAULT_TOL):
 
 
 def _parse_point(space, tokens, exact, path, lineno, column=2):
-    # ``column`` is where the point's first token sits on the line; a product
-    # base starts one token after the fiber coordinate t
+    # ``column``: the point's first token on the line, where an atom of the wrong
+    # shape is reported; a product base starts one token after the fiber's t
     def num(tok, col):
         try:
             return parse_number(tok, exact=exact)
         except ValueError as exc:
             raise ParseError(str(exc), path=path, line=lineno, column=col) from None
 
+    def point_error(message):
+        return ParseError(message, path=path, line=lineno, column=column)
+
     if isinstance(space, Interval):
         if len(tokens) != 1:
-            raise ParseError("interval atom needs: mass t", path=path, line=lineno)
+            raise point_error("interval atom needs: mass t")
         return IntervalPoint(num(tokens[0], column))
     if isinstance(space, Euclidean):
         if len(tokens) != space.dim:
-            raise ParseError(
-                f"euclidean atom needs {space.dim} coordinates", path=path, line=lineno
-            )
+            raise point_error(f"euclidean atom needs {space.dim} coordinates")
         return EuclideanPoint(tuple(num(t, column + i) for i, t in enumerate(tokens)))
     if isinstance(space, Finite):
         if len(tokens) != 1:
-            raise ParseError("finite atom needs: mass idx", path=path, line=lineno)
+            raise point_error("finite atom needs: mass idx")
         try:
             return FinitePoint(int(tokens[0]))
         except ValueError:
-            raise ParseError(
-                f"invalid point index {tokens[0]!r}", path=path, line=lineno, column=column
-            ) from None
+            raise point_error(f"invalid point index {tokens[0]!r}") from None
     if isinstance(space, Product):
         if len(tokens) < 2:
-            raise ParseError("product atom needs: mass t x...", path=path, line=lineno)
+            raise point_error("product atom needs: mass t x...")
         t = num(tokens[0], column)
         x = _parse_point(space.base, tokens[1:], exact, path, lineno, column + 1)
         return ProductPoint(t, x)

@@ -24,6 +24,7 @@ build a matrix gives up, and ``_float_costs`` or ``_unit_costs`` returns None.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,6 +42,7 @@ from ._numbers import (
     integer_units,
     is_exact,
     parse_number,
+    plain_sum,
     powered_abs,
     root,
 )
@@ -305,10 +307,8 @@ def _scaled_norm(magnitudes, q):
     s = max(floats)
     if s == 0.0 or s == math.inf:
         return s
-    e, total = float(q), 0.0
-    for v in floats:
-        r = v / s
-        total = total + (r * r if q == 2 else r**e)
+    e = float(q)
+    total = plain_sum(r * r if q == 2 else r**e for r in (v / s for v in floats))
     return s * root(total, q)
 
 
@@ -464,13 +464,7 @@ class Euclidean(_CostMatrix):
                 raise SpaceMismatchError(f"coordinate {c!r} is not finite")
 
     def _sq(self, a, b):
-        # a plain running sum, the order cost_matrix repeats on arrays (the
-        # builtin sum compensates float sums from Python 3.12 on)
-        total = 0
-        for u, v in zip(a.coords, b.coords):
-            d = u - v
-            total = total + d * d
-        return total
+        return plain_sum(d * d for d in map(operator.sub, a.coords, b.coords))
 
     def distance(self, a, b):
         if self.dim == 1:
@@ -671,8 +665,9 @@ class Product(_CostMatrix):
     def _costs(self, ev, rows, cols, p):
         if p == self.q:
             e = _mul_exponents(self.alpha, self.q)
-            fiber = ev.delta([y.t for y in rows], [z.t for z in cols], e)
+            ev.check(e)  # either part may refuse, before a fiber cell is built
             base = self.base._costs(ev, [y.x for y in rows], [z.x for z in cols], self.q)
+            fiber = ev.delta([y.t for y in rows], [z.t for z in cols], e)
             return ev.add(fiber, base)
         # the p-th power of the q-th root, whose exponent 1 / q is integral only at q == 1
         ev.check(p, 1 / self.q)
@@ -823,18 +818,18 @@ def load_finite_space(path, exact=False):
             try:
                 n = int(text)
             except ValueError:
-                raise ParseError("expected point count", path=path, line=lineno) from None
+                raise ParseError("expected point count", path=path, line=lineno, column=1) from None
             if n <= 0:
-                raise ParseError("point count must be positive", path=path, line=lineno)
+                raise ParseError("point count must be positive", path=path, line=lineno, column=1)
             continue
         if len(rows) == n:
             raise ParseError(
-                f"unexpected line after the {n} rows of the matrix", path=path, line=lineno
+                f"unexpected line after the {n} rows of the matrix", path=path, line=lineno, column=1
             )
         tokens = text.split()
         if len(tokens) != n:
             raise ParseError(
-                f"expected {n} entries, got {len(tokens)}", path=path, line=lineno
+                f"expected {n} entries, got {len(tokens)}", path=path, line=lineno, column=1
             )
         row = []
         for col, tok in enumerate(tokens, start=1):

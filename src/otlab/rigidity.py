@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
-from ._numbers import DEFAULT_TOL, tolerance
+from ._numbers import DEFAULT_TOL, plain_sum, tolerance
 from .measure import (
     DiscreteMeasure,
     convex_combine,
@@ -108,7 +108,8 @@ def ratio_set_membership(xi, mu, nu, lam, tol=DEFAULT_TOL, base_distance=None):
     """Solver-evaluated membership of xi in the ratio set at lambda.
 
     Returns ``(is_member, (r1, r2))`` where r1 = d(mu, xi) - lambda * d(mu, nu)
-    and r2 = d(xi, nu) - (1 - lambda) * d(mu, nu).
+    and r2 = d(xi, nu) - (1 - lambda) * d(mu, nu). xi is a member when both
+    are 0: exactly for an exact residual, within ``tol`` for a float one.
     """
     if not (0 < lam < 1):
         raise DomainError(f"lambda {lam!r} must lie strictly between 0 and 1")
@@ -116,7 +117,7 @@ def ratio_set_membership(xi, mu, nu, lam, tol=DEFAULT_TOL, base_distance=None):
         base_distance = solve_wasserstein(mu, nu, p=1).cost
     r1 = solve_wasserstein(mu, xi, p=1).cost - lam * base_distance
     r2 = solve_wasserstein(xi, nu, p=1).cost - (1 - lam) * base_distance
-    return (abs(r1) <= tol and abs(r2) <= tol), (r1, r2)
+    return (abs(r1) <= tolerance(r1, tol) and abs(r2) <= tolerance(r2, tol)), (r1, r2)
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def split_transport(mu, nu, subset, tol=DEFAULT_TOL):
     if not inside or len(inside) == len(support):
         raise DomainError("subset must cut the support into two nonempty parts")
     outside = [p for p in support if p not in subset]
-    res = solve_wasserstein(mu, nu, p=1, tol=tol)
+    res = solve_wasserstein(mu, nu, p=1)
     lam, pi1 = restrict_and_renormalize(res.coupling, inside, side="row")
     lam2, pi2 = restrict_and_renormalize(res.coupling, outside, side="row")
     mu_masses = mu.as_dict()
@@ -262,8 +263,8 @@ def split_transport(mu, nu, subset, tol=DEFAULT_TOL):
     mu2 = DiscreteMeasure(mu.space, tuple((p, mu_masses[p] / lam2) for p in outside))
     nu1 = DiscreteMeasure(mu.space, tuple(zip(pi1.col_points, pi1.col_sums())))
     nu2 = DiscreteMeasure(mu.space, tuple(zip(pi2.col_points, pi2.col_sums())))
-    d1 = solve_wasserstein(mu1, nu1, p=1, tol=tol).cost
-    d2 = solve_wasserstein(mu2, nu2, p=1, tol=tol).cost
+    d1 = solve_wasserstein(mu1, nu1, p=1).cost
+    d2 = solve_wasserstein(mu2, nu2, p=1).cost
     residual = res.cost - (lam * d1 + lam2 * d2)
     allowed = tolerance(residual, max(tol, 1e-8))
     if abs(residual) > allowed:
@@ -308,7 +309,8 @@ class GeodesicExtension:
             raise DomainError(f"mixture weight c={self.c!r} must lie in (0, 1)")
         v_check = self.c * distance(self.space, self.y, self.y_prime)
         r_check = _dirac_distance(self.space, self.y, self.eta)
-        if abs(self.v - v_check) > DEFAULT_TOL or abs(self.r - r_check) > DEFAULT_TOL:
+        v_off, r_off = self.v - v_check, self.r - r_check
+        if abs(v_off) > tolerance(v_off) or abs(r_off) > tolerance(r_off):
             raise InvariantError("stored speed or radius disagrees with recomputation")
         if not self.r > 0:
             raise DomainError("eta must be at positive distance from delta_y")
@@ -328,10 +330,7 @@ def _dirac_distance(space, y, eta):
     if eta.space != space:  # eta's atoms were validated on eta.space only
         for p in eta.support:
             space.validate_point(p)
-    total = 0
-    for p, m in eta.atoms:
-        total = total + m * space.distance(y, p)
-    return total
+    return plain_sum(m * space.distance(y, p) for p, m in eta.atoms)
 
 
 def build_geodesic_extension(space, eta, y, y_prime, c):
@@ -390,19 +389,16 @@ def geodesic_speed_check(ext, sample_pairs, tol=DEFAULT_TOL):
         if s1 == s2:
             details.append((s1, s2, 0, 0, 0, 0))
             continue
-        got = solve_wasserstein(g1, g2, p=1, tol=tol).cost
+        got = solve_wasserstein(g1, g2, p=1).cost
         expected = (s2 - s1) * ext.v
         residual = abs(got - expected)
-        bound = 0
-        g1_masses = g1.as_dict()
-        # the curve's measures and ext.y are points of ext.space already
-        for p, m in g2.atoms:
-            bound = bound + ext.space.distance(ext.y, p) * m
-        for p, m in g1_masses.items():
-            bound = bound - ext.space.distance(ext.y, p) * m
-        if bound > got + tol:
+        # the curve's measures and ext.y are points of ext.space already; a
+        # term times -m is minus the term, so g1's terms are subtracted
+        atoms = g2.atoms + tuple((p, -m) for p, m in g1.atoms)
+        bound = plain_sum(ext.space.distance(ext.y, p) * m for p, m in atoms)
+        if bound > got + tolerance(bound - got, tol):
             raise InvariantError("dual lower bound exceeds the solved distance")
-        if residual > tol:
+        if residual > tolerance(residual, tol):
             ok = False
         if residual > worst:
             worst = residual

@@ -29,7 +29,8 @@ from otlab import metric
 HALF = Fraction(1, 2)
 
 # (space, p) pairs whose costs are not all exact: an odd or non-integral p
-# over a squared norm, a root of order q > 1, a snowflake exponent of 1/2
+# over a squared norm, a root of order q > 1, a snowflake exponent of 1/2;
+# at p == q either part of a product may be the one that refuses
 REFUSED = [
     (Product(HALF, 2, Euclidean(2)), 1),
     (Product(HALF, 2, Euclidean(2)), Fraction(3, 2)),
@@ -39,6 +40,7 @@ REFUSED = [
     (Euclidean(3), 3),
     (Interval(HALF), 1),
     (Product(HALF, 1, Interval(1)), 1),
+    (Product(1, 1, Euclidean(2)), 1),
 ]
 
 

@@ -16,6 +16,7 @@ INTERVAL = Interval(1)
 PLANE = Euclidean(2)
 PAIR = Finite(((0, 1), (1, 0)))
 STRIP = Product(1, 1, Interval(1))
+PLANE_STRIP = Product(1, 1, PLANE)
 
 
 def measure_of(space):
@@ -27,12 +28,15 @@ def finite_space(path):
 
 
 # (reader, file text, message, line, column); comments and blank lines count
-# toward the line number and are otherwise ignored
+# toward the line number and are otherwise ignored. The column counts tokens:
+# an atom of the wrong shape names its point's first token, a bad count or
+# row the line's first; an error at the end of the file has no column.
 MALFORMED = [
-    (measure_of(INTERVAL), "space i\n1 0 0\n", "interval atom needs: mass t", 2, None),
-    (measure_of(PLANE), "# plane\nspace e\n\n1 0\n", "euclidean atom needs 2 coordinates", 4, None),
-    (measure_of(PAIR), "space f\n1 0 1  # two indices\n", "finite atom needs: mass idx", 2, None),
-    (measure_of(STRIP), "space p\n1/2 0 1\n1/2 0.5\n", "product atom needs: mass t x...", 3, None),
+    (measure_of(INTERVAL), "space i\n1 0 0\n", "interval atom needs: mass t", 2, 2),
+    (measure_of(PLANE), "# plane\nspace e\n\n1 0\n", "euclidean atom needs 2 coordinates", 4, 2),
+    (measure_of(PAIR), "space f\n1 0 1  # two indices\n", "finite atom needs: mass idx", 2, 2),
+    (measure_of(STRIP), "space p\n1/2 0 1\n1/2 0.5\n", "product atom needs: mass t x...", 3, 2),
+    (measure_of(PLANE_STRIP), "space p\n1 0 1\n", "euclidean atom needs 2 coordinates", 2, 3),
     (measure_of(INTERVAL), "\n  # header next\nspaces i\n1 0\n", "expected header: space <id>", 3, 1),
     (measure_of(INTERVAL), "space i\nx 0\n", "invalid mass 'x'", 2, 1),
     (measure_of(INTERVAL), "", "missing header: space <id>", 1, 1),
@@ -40,13 +44,14 @@ MALFORMED = [
     (measure_of(INTERVAL), "space i\n# no atoms\n\n", "measure file has no atoms", 3, None),
     (measure_of(INTERVAL), "space i\n1/2 0\n", "masses sum to 1/2, expected 1 within 0", None, None),
     (measure_of(INTERVAL), "space i\n1 2\n", "interval coordinate 2 outside [0, 1]", None, None),
-    (finite_space, "x\n", "expected point count", 1, None),
-    (finite_space, "# size\n0\n", "point count must be positive", 2, None),
-    (finite_space, "2\n0 1 2\n", "expected 2 entries, got 3", 2, None),
+    (finite_space, "x\n", "expected point count", 1, 1),
+    (finite_space, "# size\n0\n", "point count must be positive", 2, 1),
+    (finite_space, "2\n0 1 2\n", "expected 2 entries, got 3", 2, 1),
     (finite_space, "2\n0 1\n\n1 q # bad\n", "invalid number 'q'", 4, 2),
     (finite_space, "", "empty finite-space file", 1, None),
     (finite_space, "\n# nothing\n", "empty finite-space file", 2, None),
     (finite_space, "2\n0 1\n# one row\n", "expected 2 rows, got 1", 3, None),
+    (finite_space, "1\n0\n0\n", "unexpected line after the 1 rows of the matrix", 3, 1),
     (finite_space, "2\n0 1\n2 0\n", "asymmetric entries at (0, 1)", None, None),
 ]
 

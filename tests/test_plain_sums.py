@@ -2,14 +2,17 @@
 
 From Python 3.12 on, the builtin ``sum`` compensates float sums, so a float
 summed with it could change in its last bits between the Python versions the
-README's float bit-identity covers. The package keeps plain running sums.
-This test patches ``builtins.sum`` over a seeded mix of the package's work:
-solves in both arithmetics, every suite and scenario in both modes, and
-``otlab dist``. It records each call made from an ``otlab`` frame with a
-float among its terms.
+README's float bit-identity covers. The package sums through
+``_numbers.plain_sum`` instead. A static scan finds every call of ``sum`` in
+the package's source. A dynamic test patches ``builtins.sum`` over a seeded
+mix of the package's work: solves in both arithmetics, every suite and
+scenario in both modes, and ``otlab dist``. It records each call made from
+an ``otlab`` frame with a float among its terms.
 """
 
+import ast
 import builtins
+import pathlib
 import sys
 
 import pytest
@@ -25,6 +28,28 @@ from otlab import (
     solve_wasserstein,
 )
 from otlab.cli import EXIT_PASS, entry
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "otlab"
+
+
+def sum_calls(source):
+    """The lines of ``source`` that call the name ``sum``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+    ]
+
+
+def test_scan_finds_sum_calls():
+    source = "total = sum(xs)\nsums = [sum(r) for r in rows]\nsum_x = x.sum()\n"
+    assert sum_calls(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_module_calls_no_builtin_sum(path):
+    assert sum_calls(path.read_text(encoding="utf-8")) == []
+
 
 PLANE_ARGS = (
     "--space", "product", "--alpha", "1/2", "--q", "2", "--base", "euclidean", "--dim", "2"

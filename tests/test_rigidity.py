@@ -103,6 +103,25 @@ class TestRatioSetMembership:
         assert not ok
         assert r1 > 0
 
+    def test_exact_residuals_must_be_zero(self, unit_interval):
+        # a Dirac 1e-10 past the midpoint splits the distance 1 almost evenly;
+        # exact residuals are compared exactly, not within the float tolerance
+        mu = interval_dirac(0)
+        nu = interval_dirac(1)
+        eps = Fraction(1, 10**10)
+        xi = interval_dirac(Fraction(1, 2) + eps)
+        assert ratio_set_membership(xi, mu, nu, Fraction(1, 2)) == (False, (eps, -eps))
+        report = ratio_set_scan(mu, nu, Fraction(1, 2), [xi])
+        assert [is_combo for _, _, is_combo in report.members] == [True]
+        assert report.is_singleton
+
+    def test_float_residuals_within_tol_are_members(self, unit_interval):
+        mu = interval_dirac(0.0)
+        nu = interval_dirac(1.0)
+        ok, (r1, r2) = ratio_set_membership(interval_dirac(0.5 + 1e-10), mu, nu, 0.5)
+        assert ok
+        assert 0 < r1 <= 1e-9 and 0 < -r2 <= 1e-9
+
     @pytest.mark.parametrize("lam", [0, 1, Fraction(3, 2), -0.1])
     def test_lambda_must_be_interior(self, unit_interval, lam):
         mu = interval_dirac(Fraction(0))
@@ -350,6 +369,25 @@ class TestGeodesicExtension:
             GeodesicExtension(
                 space=space, eta=eta, y=y, y_prime=y_prime, c=Fraction(1, 2), v=2, r=1
             )
+
+    def test_exact_speed_and_radius_are_compared_exactly(self):
+        space, eta, y, y_prime = self.build()
+        eps = Fraction(1, 10**10)
+        fields = dict(space=space, eta=eta, y=y, y_prime=y_prime)
+        for v, r in ((1 + eps, 1), (1, 1 - eps)):
+            with pytest.raises(InvariantError):
+                GeodesicExtension(**fields, c=Fraction(1, 2), v=v, r=r)
+        # the float check keeps its allowance
+        assert GeodesicExtension(**fields, c=0.5, v=1 + 1e-10, r=1.0).v == 1 + 1e-10
+
+    def test_speed_check_reports_an_exact_residual(self):
+        space, eta, y, y_prime = self.build()
+        ext = build_geodesic_extension(space, eta, y, y_prime, Fraction(1, 2))
+        # a speed off by 1e-10, past the constructor's check
+        object.__setattr__(ext, "v", ext.v + Fraction(1, 10**10))
+        report = geodesic_speed_check(ext, [(Fraction(0), Fraction(1))])
+        assert not report.ok
+        assert report.worst_residual == Fraction(1, 10**10)
 
 
 class TestInductionFamilies:

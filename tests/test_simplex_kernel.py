@@ -6,6 +6,9 @@ and every potential below the re-hung node reset from an adjacency walk. Its
 pricing and leaving rules are the kernel's, so the two must pivot alike: the
 same flows in the same dict order, the same pivot count, potentials of the
 same types and bits, the same tree, and the same stall.
+
+The certificate's refusals are checked here too, on a solved kernel problem
+with one cost perturbed.
 """
 
 import math
@@ -25,7 +28,7 @@ from otlab import (
     random_measure,
 )
 from otlab.campaign import five_point_tree_space
-from otlab.solver import _joint_units, _northwest_corner, _transport_simplex
+from otlab.solver import _certify, _flow_cost, _joint_units, _northwest_corner, _transport_simplex
 
 from test_solver import tied_pair
 
@@ -278,3 +281,44 @@ def test_kernel_pivots_like_the_reference_where_the_last_block_is_cut_short():
         mu = random_measure(rng, space, m, exact=exact)
         nu = random_measure(rng, space, n, exact=exact)
         _assert_pivots_alike(_kernel_args(mu, nu, 1, exact))
+
+
+def _solved_certificate(exact):
+    """``_certify``'s arguments for a solved 3 x 3 interval problem, and the cost to perturb.
+
+    The allowance is the solve's own: 0 in integer units, 1e-9 in floats.
+    """
+    rng = make_rng(61)
+    space = Interval(1)
+    mu = random_measure(rng, space, 3, exact=exact)
+    nu = random_measure(rng, space, 3, exact=exact)
+    args = _kernel_args(mu, nu, 1, exact)
+    a, b, cost, m, n = args[:5]
+    flows, _, u, v, _ = _transport_simplex(*args)
+    cost = [list(row) for row in cost]
+    tol = 0 if exact else 1e-9
+    return (a, b, cost, flows, u, v, m, n, _flow_cost(flows, cost), tol), cost
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "float"))
+def test_certificate_refuses_a_tree_cell_off_its_potentials(exact):
+    # raising one positive-flow tree cell's cost leaves the potentials
+    # feasible and the gap closed, but breaks complementary slackness there
+    args, cost = _solved_certificate(exact)
+    assert _certify(*args)
+    flows = args[3]
+    i, j = next(cell for cell, f in flows.items() if f > 0)
+    cost[i][j] = cost[i][j] + (1 if exact else 1e-6)
+    assert not _certify(*args)
+
+
+@pytest.mark.parametrize("exact", (True, False), ids=("exact", "float"))
+def test_certificate_refuses_an_off_tree_cell_below_its_potentials(exact):
+    # an off-tree cell carries no flow, so lowering its cost below u + v
+    # breaks dual feasibility alone
+    args, cost = _solved_certificate(exact)
+    assert _certify(*args)
+    flows, u, v, m, n = args[3:8]
+    i, j = next((i, j) for i in range(m) for j in range(n) if (i, j) not in flows)
+    cost[i][j] = u[i] + v[j] - (1 if exact else 1e-6)
+    assert not _certify(*args)

@@ -1,6 +1,7 @@
 """Transportation solver: frozen values, certificates, oracles, duals."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,17 @@ def test_kr_dual_routes_agree(snowflake_plane):
         assert reused.method != fresh.method
         assert float(reused.value) == pytest.approx(float(primal.powered_cost), abs=1e-9)
         assert float(fresh.value) == pytest.approx(float(primal.powered_cost), abs=1e-8)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), 0.25])
+def test_independent_kr_dual_of_one_point_needs_no_lp(unit_interval, x, monkeypatch):
+    # the only potential of a single union point is 0: no LP is set up or imported
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+    dirac = interval_measure(unit_interval, ((x, 1),))
+    dual = kr_dual(dirac, dirac, independent=True)
+    assert dual.value == 0.0 and isinstance(dual.value, float)
+    assert dual.assignments == ((IntervalPoint(x), 0.0),)
+    assert dual.method == "independent-lp"
 
 
 def test_validate_coupling_rejects_wrong_marginals(unit_interval):
