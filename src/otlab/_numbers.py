@@ -19,10 +19,18 @@ One rule decides how a total is summed: :func:`plain_sum` adds its terms one
 at a time, left to right from 0, and ``itertools.accumulate`` does the same
 where the running values are kept. So a float total has the same bits on
 every Python version.
+
+One rule decides how an exact ratio of two ints is made: :func:`ratio`, a
+bounded cache in front of ``Fraction(n, d)``. Masses sit on a few grids
+(k/8, k/64), so plans, costs, potentials, parsed ``n/d`` tokens and sampled
+masses repeat the same few ratios, and a repeat is a lookup instead of a
+``gcd`` and a new object. A Fraction is immutable, so a shared instance has
+the value, type and ``repr`` a fresh one would have.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -41,6 +49,7 @@ __all__ = [
     "denominator_lcm",
     "integer_units",
     "plain_sum",
+    "ratio",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -61,6 +70,15 @@ def tolerance(value, tol=DEFAULT_TOL):
     return 0 if isinstance(value, _EXACT_TYPES) else tol
 
 
+@functools.lru_cache(maxsize=1024)
+def ratio(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` of two ints; each of the 1024 most recently used pairs keeps one instance.
+
+    A zero ``d`` raises ``ZeroDivisionError`` as ``Fraction`` does, and nothing is cached.
+    """
+    return Fraction(n, d)
+
+
 # a plain ASCII integer with an optional sign, or one over an unsigned ASCII denominator
 _RATIO = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
@@ -76,7 +94,7 @@ def parse_number(token: str, exact: bool = False):
 
     Every token means what ``Fraction(token)`` reads. A plain integer or
     ``n/d`` (``_RATIO``) is read directly, as ``int(n)`` or
-    ``Fraction(int(n), int(d))``, whose floats round as ``Fraction``'s do;
+    ``ratio(int(n), int(d))``, whose floats round as ``Fraction``'s do;
     every other token goes through ``Fraction``'s own grammar.
     """
     token = token.strip()
@@ -88,7 +106,7 @@ def parse_number(token: str, exact: bool = False):
             value = Fraction(token)
         else:
             num, den = match.groups()
-            value = int(num) if den is None else Fraction(int(num), int(den))
+            value = int(num) if den is None else ratio(int(num), int(den))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid number {token!r}") from exc
     if exact:

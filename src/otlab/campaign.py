@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ._numbers import format_number
+from ._numbers import format_number, ratio
 from .errors import DomainError, FiberCollisionError, InvariantError, SolverStallError
 from .measure import DiscreteMeasure, convex_combine
 from .metric import (
@@ -112,7 +111,7 @@ class CampaignReport:
 
 
 def _default_product(exact):
-    alpha = Fraction(1, 2) if exact else 0.5
+    alpha = ratio(1, 2) if exact else 0.5
     return Product(alpha, 2, Euclidean(2))
 
 
@@ -166,7 +165,7 @@ def alpha_form_pair(rng, alpha, q=2, exact=False, base=None):
     if not q > 1:
         raise DomainError("the trivial-segment certificate needs q > 1")
     space = Product(alpha, q, base if base is not None else Euclidean(2))
-    eta, y, y_prime, c = _remainder(rng, space, exact, Fraction(1, 16))
+    eta, y, y_prime, c = _remainder(rng, space, exact, ratio(1, 16))
     mu = DiscreteMeasure(space, ((y, c),) + tuple((u, (1 - c) * m) for u, m in eta.atoms))
     nu = DiscreteMeasure(space, ((y_prime, c),) + tuple((u, (1 - c) * m) for u, m in eta.atoms))
     return mu, nu, eta, y, y_prime, c
@@ -186,7 +185,7 @@ def collinear_witness_pair(rng, exact=False):
     x1 = _scalar(rng, exact, (-4, 4), 2)
     h = _scalar(rng, exact, (0.5, 2.0), 2)
     # lam's float draw is a choice among three values, not a uniform one
-    lam = Fraction(int(rng.integers(1, 4)), 4) if exact else float(rng.choice([0.25, 0.5, 0.75]))
+    lam = ratio(int(rng.integers(1, 4)), 4) if exact else float(rng.choice([0.25, 0.5, 0.75]))
     y = ProductPoint(t, EuclideanPoint((x0, x1)))
     y_prime = ProductPoint(t, EuclideanPoint((x0 + 2 * h, x1)))
     interior = ProductPoint(t, EuclideanPoint((x0 + 2 * h * lam, x1)))
@@ -217,7 +216,7 @@ def split_residual_witness_pair(rng, exact=False):
     y1, z1 = pt(0, 0), pt(0, length)
     y2, z2 = pt(sep, 0), pt(sep, length)
     eta_pt = pt(far, 0)
-    half = Fraction(1, 2) if exact else 0.5
+    half = ratio(1, 2) if exact else 0.5
     common = ((eta_pt, 1 - a),)
     mu = DiscreteMeasure(space, common + ((y1, a * half), (y2, a * half)))
     nu = DiscreteMeasure(space, common + ((z1, a * half), (z2, a * half)))
@@ -229,7 +228,7 @@ def geodesic_instance(rng, space=None, exact=False):
     """Random extension data: a remainder, two endpoints, a mixing weight."""
     if space is None:
         space = _default_product(exact)
-    eta, y, y_prime, c = _remainder(rng, space, exact, Fraction(1, 8))
+    eta, y, y_prime, c = _remainder(rng, space, exact, ratio(1, 8))
     return build_geodesic_extension(space, eta, y, y_prime, c)
 
 
@@ -361,13 +360,13 @@ def _ratio_verdict(report, witness):
 
 def _suite_ratio_singleton(rng, ctx):
     exact = ctx["exact"]
-    alpha_choices = (Fraction(1, 2), Fraction(9, 10)) if exact else (0.5, 0.9)
+    alpha_choices = (ratio(1, 2), ratio(9, 10)) if exact else (0.5, 0.9)
     alpha = alpha_choices[int(rng.integers(0, 2))]
     mu, nu, eta, y, y_prime, c = alpha_form_pair(rng, alpha, q=2, exact=exact)
     form = detect_dirac_pair_form(mu, nu)
     if form is None or not form.segment_trivial:
         return _FAIL, "pair was not recognized in shared-remainder form"
-    lam_choices = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)) if exact else (0.25, 0.5, 0.75)
+    lam_choices = (ratio(1, 4), ratio(1, 2), ratio(3, 4)) if exact else (0.25, 0.5, 0.75)
     lam = lam_choices[int(rng.integers(0, 3))]
     candidates = dirac_pair_mixture_candidates(form, mu.space, step=0.25)
     return _ratio_verdict(ratio_set_scan(mu, nu, lam, candidates, tol=ctx["tol"]), witness=False)
@@ -429,7 +428,7 @@ _FLEXIBILITY_SUITES = ("fiber-flip-isometry", "pi-hat-cost")
 
 
 def _scenario_spaces(exact):
-    half = Fraction(1, 2) if exact else 0.5
+    half = ratio(1, 2) if exact else 0.5
     return {
         # plane base, squared combination
         "example-2-1": (Product(half, 2, Euclidean(2)), DEFAULT_WINDOW),

@@ -27,7 +27,15 @@ from .errors import (
     SpaceMismatchError,
 )
 from ._numbers import (
-    DEFAULT_TOL, all_exact, format_number, integer_units, is_exact, parse_number, plain_sum, tolerance
+    DEFAULT_TOL,
+    all_exact,
+    format_number,
+    integer_units,
+    is_exact,
+    parse_number,
+    plain_sum,
+    ratio,
+    tolerance,
 )
 from .metric import (
     Euclidean,
@@ -118,7 +126,7 @@ class DiscreteMeasure:
             total = plain_sum(units)
             if total == L:
                 return
-            total = Fraction(total, L)
+            total = ratio(total, L)
         else:
             total = plain_sum(m for _, m in atoms)
             if not abs(total - 1) > tolerance(total):
@@ -352,12 +360,19 @@ def residual_decompose(mu, nu):
 
 
 def measures_close(mu, nu, tol=DEFAULT_TOL):
-    """Same support (exact point equality) with masses within ``tol``."""
+    """Same support (exact point equality) with masses within ``tolerance(m1 - m2, tol)``.
+
+    Exact masses must be equal; a float difference may be up to ``tol``.
+    """
     if mu.space != nu.space:
         return False
     if mu.support != nu.support:
         return False
-    return all(abs(m1 - m2) <= tol for m1, m2 in zip(mu.masses, nu.masses))
+    for m1, m2 in zip(mu.masses, nu.masses):
+        d = m1 - m2
+        if abs(d) > tolerance(d, tol):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

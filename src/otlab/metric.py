@@ -44,6 +44,7 @@ from ._numbers import (
     parse_number,
     plain_sum,
     powered_abs,
+    ratio,
     root,
 )
 
@@ -231,7 +232,10 @@ class _Units:
             raise _GiveUp
         units, L = integer_units(ys + zs)
         rows, cols = units[: len(ys)], units[len(ys) :]
-        return self.power(([[abs(y - z) for z in cols] for y in rows], L), e)
+        if e == 1:
+            return [[abs(y - z) for z in cols] for y in rows], L
+        e = int(e)
+        return [[abs(y - z) ** e for z in cols] for y in rows], L**e
 
     def mul(self, a, b):
         (A, sa), (B, sb) = a, b
@@ -500,7 +504,7 @@ class Euclidean(_CostMatrix):
             return ev.delta([y.coords[0] for y in rows], [z.coords[0] for z in cols], p)
         # _sq's running sum of d * d, raised to p / 2; the units of each dimension
         # merge to those of all coordinates: the lcm of squares is the lcm squared
-        half = _mul_exponents(p, Fraction(1, 2))
+        half = _mul_exponents(p, ratio(1, 2))
         ev.check(half)
         for k in range(self.dim):
             d = ev.delta([y.coords[k] for y in rows], [z.coords[k] for z in cols], 1)

@@ -10,10 +10,10 @@ stay in rational arithmetic end to end.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
+from ._numbers import ratio
 from .errors import DomainError
 from .measure import DiscreteMeasure
 from .metric import (
@@ -60,7 +60,7 @@ def random_masses(rng, count, exact=False, denominator=64):
             raise DomainError(f"denominator {denominator} too small for {count} parts")
         cuts = sorted(int(c) for c in rng.choice(denominator - 1, size=count - 1, replace=False))
         bounds = [0] + [c + 1 for c in cuts] + [denominator]
-        return [Fraction(b - a, denominator) for a, b in zip(bounds, bounds[1:])]
+        return [ratio(b - a, denominator) for a, b in zip(bounds, bounds[1:])]
     raw = rng.uniform(0.1, 1.0, count)
     return [float(w) for w in raw / raw.sum()]
 
@@ -84,7 +84,7 @@ def _scalar(rng, exact, window, denominator, exact_window=None):
         raise DomainError(
             f"window [{lo!r}, {hi!r}] is too wide to draw multiples of 1/{denominator}"
         )
-    return Fraction(int(rng.integers(low, high + 1)), denominator)
+    return ratio(int(rng.integers(low, high + 1)), denominator)
 
 
 def _window_bounds(window):

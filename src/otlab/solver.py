@@ -39,7 +39,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BudgetError,
@@ -48,7 +47,7 @@ from .errors import (
     SolverStallError,
     SpaceMismatchError,
 )
-from ._numbers import DEFAULT_TOL, format_number, integer_units, plain_sum, root, tolerance
+from ._numbers import DEFAULT_TOL, format_number, integer_units, plain_sum, ratio, root, tolerance
 from .measure import _point_tokens, _require_same_space
 from .metric import _check_cost_exponent, _cost_beyond_range
 
@@ -308,7 +307,7 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
             raise SolverStallError(
                 f"pivot budget {budget} exhausted before optimality",
                 pivots=pivots,
-                current_cost=current if scale is None else Fraction(current, scale),
+                current_cost=current if scale is None else ratio(current, scale),
             )
         # Walk up from both ends of the entering cell to the apex where they
         # meet. Round the cycle, cells lose and gain theta in turn, and the
@@ -530,16 +529,16 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     weights = [[0] * n for _ in range(m)]
     for (i, j), f in flows.items():
         if f:
-            weights[i][j] = f if L is None else (Fraction(f, L) if f % L else Fraction(f // L))
+            weights[i][j] = f if L is None else ratio(f, L)
     if scale is not None:
-        powered = Fraction(powered, scale)
+        powered = ratio(powered, scale)
         # the kernel's potentials are in cost units; each is reported as the int
         # or the Fraction that Fraction arithmetic along its tree path from row 0
         # would make, which is the kernel's int when every exact cost is an int
         if not space._int_costs:
             ints = _int_nodes(space, rows, cols, adj, m)
-            u = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(u, ints)]
-            v = [x // Lc if whole else Fraction(x, Lc) for x, whole in zip(v, ints[m:])]
+            u = [x // Lc if whole else ratio(x, Lc) for x, whole in zip(u, ints)]
+            v = [x // Lc if whole else ratio(x, Lc) for x, whole in zip(v, ints[m:])]
 
     plan = Coupling._solved(space, rows, cols, tuple(map(tuple, weights)))
     return TransportResult(
@@ -615,7 +614,7 @@ def _kr_witness(mu, nu, result):
     tree cell gives equality. So the distances are built over supp(mu) x
     supp(mu) only; an uncertified result builds them over the whole union.
     The net masses are taken in the measures' joint mass units (scale Lm), so
-    the dual value is one ``Fraction(sum, L * Lm)`` of an integer sum; each
+    the dual value is one ``ratio(sum, L * Lm)`` of an integer sum; each
     f(z) is a Fraction. A float result, or a space whose units are not exact
     there, takes ``space.distance`` cell by cell and sums f(z) times the net
     mass in the masses' own arithmetic: a float ``Euclidean`` distance at dim
@@ -651,10 +650,10 @@ def _kr_witness(mu, nu, result):
         u_units = [x * (L // Lu) for x in u_units]
         f_units = [min(c * k - uj for c, uj in zip(row, u_units)) for row in costs]
         f_units += [x * (L // Lv) for x in v_units]
-        values = [Fraction(x, L) for x in f_units]
+        values = [ratio(x, L) for x in f_units]
         a_units, b_units, Lm = _joint_units(mu._mass_units, nu._mass_units)
         net = _net_mass(a_units, b_units, nu_at, len(points))
-        value = Fraction(plain_sum(f * x for f, x in zip(f_units, net)), L * Lm)
+        value = ratio(plain_sum(f * x for f, x in zip(f_units, net)), L * Lm)
     return DualPotential(value, tuple(zip(points, values)), "simplex-potentials")
 
 

@@ -177,6 +177,29 @@ class TestRatioSetScan:
         # one deduplicated candidate plus the appended convex combination
         assert report.candidates_checked == 2
 
+    @staticmethod
+    def near_combo_scan(b, half, one):
+        # mu = delta_0, nu = (delta_1/2 + delta_1) / 2 at lambda = 1/2: every
+        # xi_b = (5/8 - b/2) delta_0 + b delta_1/2 + (3/8 - b/2) delta_1 is a
+        # member, and b = 1/4 is the convex combination
+        def measure(*atoms):
+            return DiscreteMeasure(Interval(1), tuple((IntervalPoint(t), m) for t, m in atoms))
+
+        mu = measure((0 * one, one))
+        nu = measure((half, half), (one, half))
+        xi = measure((0 * one, 5 * one / 8 - b / 2), (half, b), (one, 3 * one / 8 - b / 2))
+        return ratio_set_scan(mu, nu, half, [xi])
+
+    def test_exact_member_next_to_the_combination_is_not_the_combination(self):
+        report = self.near_combo_scan(Fraction(1, 4) + Fraction(1, 10**10), Fraction(1, 2), 1)
+        assert [is_combo for _, _, is_combo in report.members] == [False, True]
+        assert report.has_non_convex_member
+
+    def test_float_member_within_tol_of_the_combination_is_the_combination(self):
+        report = self.near_combo_scan(0.25 + 1e-10, 0.5, 1.0)
+        assert [is_combo for _, _, is_combo in report.members] == [True, True]
+        assert not report.has_non_convex_member
+
 
 class TestMixtureCandidates:
     def make_form(self):
