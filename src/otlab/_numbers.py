@@ -141,7 +141,8 @@ def powered_abs(delta, exponent):
     """Compute ``|delta| ** exponent`` staying exact when possible.
 
     Exact inputs stay exact when the exponent is a nonnegative integer; any
-    other combination falls back to floats.
+    other combination falls back to floats. A float power beyond the float
+    range is ``inf``, and so is one of an exact magnitude too large for a float.
     """
     mag = abs(delta)
     if exponent == int(exponent):
@@ -150,8 +151,10 @@ def powered_abs(delta, exponent):
             return mag
         if is_exact(mag):
             return mag**exponent
-        return float(mag) ** exponent
-    return float(mag) ** float(exponent)
+    try:
+        return float(mag) ** float(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def root(value, q):

@@ -153,18 +153,18 @@ def five_point_tree_space():
     return Finite(tuple(tuple(row) for row in d))
 
 
-def alpha_form_pair(rng, alpha, q=2, exact=False, base=None):
+def alpha_form_pair(rng, alpha, q=2, exact=False):
     """A shared-remainder Dirac pair with a metrically trivial segment.
 
-    Returns ``(mu, nu, eta, y, y_prime, c)`` on a snowflake product with the
-    given ``alpha`` and ``q > 1``. All support points carry pairwise-distinct
+    Returns ``(mu, nu, eta, y, y_prime, c)`` on ``Product(alpha, q, Euclidean(2))``
+    with ``q > 1``. All support points carry pairwise-distinct
     t coordinates, so the segment between y and y' is certified trivial.
     """
     if not alpha < 1:
         raise DomainError("the trivial-segment certificate needs alpha < 1")
     if not q > 1:
         raise DomainError("the trivial-segment certificate needs q > 1")
-    space = Product(alpha, q, base if base is not None else Euclidean(2))
+    space = Product(alpha, q, Euclidean(2))
     eta, y, y_prime, c = _remainder(rng, space, exact, ratio(1, 16))
     mu = DiscreteMeasure(space, ((y, c),) + tuple((u, (1 - c) * m) for u, m in eta.atoms))
     nu = DiscreteMeasure(space, ((y_prime, c),) + tuple((u, (1 - c) * m) for u, m in eta.atoms))
@@ -224,10 +224,9 @@ def split_residual_witness_pair(rng, exact=False):
     return mu, nu, half, xi
 
 
-def geodesic_instance(rng, space=None, exact=False):
+def geodesic_instance(rng, exact=False):
     """Random extension data: a remainder, two endpoints, a mixing weight."""
-    if space is None:
-        space = _default_product(exact)
+    space = _default_product(exact)
     eta, y, y_prime, c = _remainder(rng, space, exact, ratio(1, 8))
     return build_geodesic_extension(space, eta, y, y_prime, c)
 

@@ -247,40 +247,39 @@ def _point_label(tokens):
     return "(" + ", ".join(tokens) + ")" if len(tokens) > 1 else tokens[0]
 
 
-def cmd_dist(cfg, mu_path, nu_path, out=None):
+def cmd_dist(cfg, mu_path, nu_path):
     """Solve between two measure files and print the full solve output.
 
     In rational mode a solve whose costs are not exact runs in float; a note
     on stderr says so.
     """
-    out = sys.stdout if out is None else out
     space = build_space(cfg)
     mu, mu_id = load_measure(mu_path, space, exact=cfg.exact)
     nu, nu_id = load_measure(nu_path, space, exact=cfg.exact)
     if mu_id != nu_id:
         raise DomainError(f"measure files declare different spaces: {mu_id!r} vs {nu_id!r}")
     result = solve_wasserstein(mu, nu, p=cfg.order, tol=cfg.tol)
-    print(f"space = {space.describe()}", file=out)
-    print(f"order = {format_number(result.p)}", file=out)
-    print(f"powered_cost = {format_number(result.powered_cost)}", file=out)
-    print(f"distance = {format_number(result.cost)}", file=out)
-    print(f"certified = {result.certified}", file=out)
-    print(f"pivots = {result.pivots}", file=out)
-    print("coupling:", file=out)
+    print(f"space = {space.describe()}")
+    print(f"order = {format_number(result.p)}")
+    print(f"powered_cost = {format_number(result.powered_cost)}")
+    print(f"distance = {format_number(result.cost)}")
+    print(f"certified = {result.certified}")
+    print(f"pivots = {result.pivots}")
+    print("coupling:")
     plan = result.coupling
     rows = [_point_label(_point_tokens(y)) for y in plan.row_points]
     cols = [_point_label(_point_tokens(z)) for z in plan.col_points]
     for j, k, w in plan.cells():
-        print(f"  {format_number(w)} : {rows[j]} -> {cols[k]}", file=out)
+        print(f"  {format_number(w)} : {rows[j]} -> {cols[k]}")
     u, v = result.dual_potentials
-    print("potentials:", file=out)
+    print("potentials:")
     for label, value in zip(rows, u):
-        print(f"  u {label} = {format_number(value)}", file=out)
+        print(f"  u {label} = {format_number(value)}")
     for label, value in zip(cols, v):
-        print(f"  v {label} = {format_number(value)}", file=out)
+        print(f"  v {label} = {format_number(value)}")
     if cfg.order == 1:
         witness = _kr_witness(mu, nu, result)
-        print(f"dual_value = {format_number(witness.value)}", file=out)
+        print(f"dual_value = {format_number(witness.value)}")
     if cfg.exact and result.arithmetic == "float":
         print(
             "otlab: note: this solve ran in float arithmetic (costs d**p are not exact here)",
@@ -289,9 +288,8 @@ def cmd_dist(cfg, mu_path, nu_path, out=None):
     return EXIT_PASS
 
 
-def cmd_transform(cfg, name, mu_path, out=None):
+def cmd_transform(cfg, name, mu_path):
     """Apply a named transform to a measure file and print the image."""
-    out = sys.stdout if out is None else out
     space = build_space(cfg)
     mu, space_id = load_measure(mu_path, space, exact=cfg.exact)
     if name == "fiber-flip":
@@ -304,7 +302,7 @@ def cmd_transform(cfg, name, mu_path, out=None):
         if isinstance(space, Product):
             raise DomainError(f"{name} acts on interval measures; use fiber-flip on products")
         image = apply_interval_isometry(IntervalIsometry.from_name(name), mu)
-    out.write(dump_measure(image, space_id))
+    sys.stdout.write(dump_measure(image, space_id))
     return EXIT_PASS
 
 
@@ -319,23 +317,22 @@ def _campaign_exit(report):
     return EXIT_INVARIANT
 
 
-def _emit_campaign(report, cfg, default_stem, out):
+def _emit_campaign(report, cfg, default_stem):
     text = campaign.render_report(report)
-    out.write(text)
+    sys.stdout.write(text)
     report_path = cfg.report or f"{default_stem}-report.txt"
     csv_path = cfg.csv or f"{default_stem}-residuals.csv"
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(campaign.render_csv(report))
-    print(f"report written to {report_path}", file=out)
-    print(f"csv written to {csv_path}", file=out)
+    print(f"report written to {report_path}")
+    print(f"csv written to {csv_path}")
     return _campaign_exit(report)
 
 
-def cmd_verify(cfg, suite, out=None):
+def cmd_verify(cfg, suite):
     """Run one invariant campaign; write its report and residual CSV."""
-    out = sys.stdout if out is None else out
     space = None
     if cfg.space_explicit and cfg.space_kind == "product":
         space = build_space(cfg)
@@ -348,12 +345,11 @@ def cmd_verify(cfg, suite, out=None):
         space=space,
         window=cfg.window,
     )
-    return _emit_campaign(report, cfg, suite, out)
+    return _emit_campaign(report, cfg, suite)
 
 
-def cmd_scenario(cfg, name, out=None):
+def cmd_scenario(cfg, name):
     """Run the flexibility campaigns on a packaged example space."""
-    out = sys.stdout if out is None else out
     report = campaign.run_scenario(
         name,
         seed=cfg.seed,
@@ -361,7 +357,7 @@ def cmd_scenario(cfg, name, out=None):
         tol=cfg.tol,
         mode=cfg.mode,
     )
-    return _emit_campaign(report, cfg, name, out)
+    return _emit_campaign(report, cfg, name)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ by an evaluator: ``_Floats`` in numpy on float coordinates, cell for cell
 bit-identical to ``powered_distance``, or ``_Units`` in integer units when
 every cell is exact, for the solver's exact path. An evaluator that cannot
 build a matrix gives up, and ``_float_costs`` or ``_unit_costs`` returns None.
+
+A space method gives ``inf`` for a value beyond the float range, never an
+``OverflowError``; only the root of an exact value beyond it is a
+:class:`DomainError`. The entry points (``cost_matrix``, ``powered_distance``,
+``triangle_defect``, ``metric_segment``) refuse ``inf`` with a DomainError.
 """
 
 from __future__ import annotations
@@ -171,17 +176,15 @@ class _Floats:
         return a + b
 
     def power(self, values, e):
-        """``x ** e`` for every cell x, by Python's float ``**``.
+        """``x ** e`` for every cell x by :func:`powered_abs`: inf where it is beyond the float range.
 
-        The array is returned as it is at exponent 1, where ``x ** 1.0 == x``.
-        So ``power(np.abs(delta), e)`` is :func:`powered_abs` over an array:
-        for a float magnitude, powered_abs raises it to float(e) in every
-        branch, and leaves it alone at exponent 1.
+        The array is returned as it is at exponent 1, where powered_abs
+        leaves a magnitude alone.
         """
         e = float(e)
         if e == 1.0:
             return values
-        return np.array([[x ** e for x in row] for row in values.tolist()], dtype=float)
+        return np.array([[powered_abs(x, e) for x in row] for row in values.tolist()], dtype=float)
 
     def root(self, values, q):
         """:func:`root` over costs.
@@ -306,7 +309,7 @@ def _scaled_norm(magnitudes, q):
     """
     try:
         floats = [abs(float(v)) for v in magnitudes]
-    except OverflowError:  # an exact magnitude beyond the float range
+    except OverflowError:  # an exact magnitude beyond the float range, or a float meeting one
         return math.inf
     s = max(floats)
     if s == 0.0 or s == math.inf:
@@ -347,20 +350,17 @@ class _CostMatrix:
         When every coordinate (every matrix entry, for a ``Finite`` space) is
         a float, the matrix is broadcast in numpy, cell for cell bit-identical
         to the scalar code. Any other input takes the scalar code cell by cell.
-        A cell beyond the float range (``inf``, or a float power that
-        overflows) is a :class:`DomainError`: no solve runs on it.
+        A cell beyond the float range (``inf``) is a :class:`DomainError`:
+        no solve runs on it.
         """
-        try:
-            costs = self._float_costs(rows, cols, p)
-            if costs is None:
-                cell = self.powered_distance
-                matrix = [[cell(y, z, p) for z in cols] for y in rows]
-                finite = _all_finite(matrix)
-            else:
-                finite = bool(np.isfinite(costs).all())
-                matrix = costs.tolist()
-        except OverflowError:  # a float ** beyond the float range
-            finite = False
+        costs = self._float_costs(rows, cols, p)
+        if costs is None:
+            cell = self.powered_distance
+            matrix = [[cell(y, z, p) for z in cols] for y in rows]
+            finite = not any(math.inf in row for row in matrix)  # no cost is NaN or negative
+        else:
+            finite = bool(np.isfinite(costs).all())
+            matrix = costs.tolist()
         if not finite:
             raise _cost_beyond_range(p)
         return matrix
@@ -384,17 +384,13 @@ class _CostMatrix:
 
 
 def _cost_beyond_range(p):
-    """The error for a cost d**p beyond the float range, raised in place of an ``OverflowError``."""
+    """The error for a cost d**p beyond the float range, which a space gives as inf."""
     return DomainError(f"a cost d**p at p={format_number(p)} is beyond the float range")
 
 
-def _all_finite(matrix):
-    """Whether no cell of the list of lists ``matrix`` is a float inf or NaN."""
-    try:
-        return all(all(map(math.isfinite, row)) for row in matrix)
-    except OverflowError:
-        # an exact cell too large to convert; exact cells are finite
-        return all(is_exact(c) or math.isfinite(c) for row in matrix for c in row)
+def _distance_beyond_range():
+    """The error for a distance beyond the float range, which a space gives as inf."""
+    return DomainError("a distance is beyond the float range")
 
 
 def _check_unit_range(t, what):
@@ -468,33 +464,39 @@ class Euclidean(_CostMatrix):
                 raise SpaceMismatchError(f"coordinate {c!r} is not finite")
 
     def _sq(self, a, b):
-        return plain_sum(d * d for d in map(operator.sub, a.coords, b.coords))
+        try:
+            return plain_sum(d * d for d in map(operator.sub, a.coords, b.coords))
+        except OverflowError:  # a float met an exact value beyond the float range
+            return math.inf
 
     def distance(self, a, b):
         if self.dim == 1:
-            return abs(a.coords[0] - b.coords[0])
+            try:
+                return abs(a.coords[0] - b.coords[0])
+            except OverflowError:  # a float met an exact coordinate beyond the float range
+                return math.inf
         sq = self._sq(a, b)
         # a normal float square is tested inline, without a call to the rule
         if (type(sq) is not float or not _MIN_NORMAL <= sq < math.inf) and _lost_root(sq, a, b):
-            d = _scaled_norm([u - v for u, v in zip(a.coords, b.coords)], 2)
-            # a distance beyond the float range too: inf from float
-            # coordinates, a DomainError from exact ones
+            d = _scaled_norm(map(operator.sub, a.coords, b.coords), 2)
+            # a distance beyond the float range too: inf from a float square,
+            # a DomainError from an exact one
             return d if d < math.inf else root(sq, 2)
         return math.sqrt(sq)
 
     def powered_distance(self, a, b, p):
         if self.dim == 1:
-            return powered_abs(a.coords[0] - b.coords[0], p)
+            return powered_abs(self.distance(a, b), p)
+        sq = self._sq(a, b)
         if p == int(p) and int(p) % 2 == 0:
             # the cost is a power of the square itself; where the square
             # underflows, so does the cost
-            return self._sq(a, b) ** (int(p) // 2)
-        sq = self._sq(a, b)
+            return powered_abs(sq, int(p) // 2)
         if _lost_root(sq, a, b):  # the distance may fit where its square does not
-            d = _scaled_norm([u - v for u, v in zip(a.coords, b.coords)], 2)
+            d = _scaled_norm(map(operator.sub, a.coords, b.coords), 2)
             if d < math.inf:
-                return d ** float(p)
-        return float(sq) ** (float(p) / 2.0)
+                return powered_abs(d, p)
+        return powered_abs(sq, p / 2)
 
     def _int_cost(self, a, b):
         return _no_fraction(a.coords + b.coords)
@@ -516,6 +518,7 @@ class Euclidean(_CostMatrix):
         return f"euclidean:dim={self.dim}"
 
 
+@np.errstate(over="ignore")  # a float triangle sum beyond the float range is inf, above every entry
 def _validate_finite_matrix(matrix):
     """Check that ``matrix`` is a finite metric.
 
@@ -658,7 +661,10 @@ class Product(_CostMatrix):
     def powered_distance(self, a, b, p):
         if p == self.q:
             fiber = powered_abs(a.t - b.t, _mul_exponents(self.alpha, self.q))
-            return fiber + self.base.powered_distance(a.x, b.x, self.q)
+            try:
+                return fiber + self.base.powered_distance(a.x, b.x, self.q)
+            except OverflowError:  # a float met an exact value beyond the float range
+                return math.inf
         d = self.distance(a, b)
         return powered_abs(d, p)
 
@@ -675,18 +681,12 @@ class Product(_CostMatrix):
             return ev.add(fiber, base)
         # the p-th power of the q-th root, whose exponent 1 / q is integral only at q == 1
         ev.check(p, 1 / self.q)
-        try:
-            sums = self._costs(ev, rows, cols, self.q)
-        except OverflowError:  # a float ** of the base beyond the float range
-            raise _GiveUp from None  # the scalar code rescales it
+        sums = self._costs(ev, rows, cols, self.q)
         costs = ev.power(ev.root(sums, self.q), p)
         return costs if self.q == 1 else ev.rescue(self, costs, sums, rows, cols, p)
 
     def distance(self, a, b):
-        try:
-            total = self.powered_distance(a, b, self.q)
-        except OverflowError:  # a float ** of the base beyond the float range
-            total = math.inf
+        total = self.powered_distance(a, b, self.q)
         # a normal float sum is tested inline, as in Euclidean.distance
         off = type(total) is not float or not _MIN_NORMAL <= total < math.inf
         if self.q != 1 and off and _lost_root(total, a, b):
@@ -726,26 +726,32 @@ def distance(space, a, b):
 
 
 def powered_distance(space, a, b, p):
-    """d(a, b) ** p, computed without roots whenever the exponents allow."""
+    """d(a, b) ** p, computed without roots whenever the exponents allow; inf is a DomainError."""
     _check_cost_exponent(p)
     space.validate_point(a)
     space.validate_point(b)
-    try:
-        return space.powered_distance(a, b, p)
-    except OverflowError:  # a float ** beyond the float range
-        raise _cost_beyond_range(p) from None
+    cost = space.powered_distance(a, b, p)
+    if cost == math.inf:
+        raise _cost_beyond_range(p)
+    return cost
 
 
 def triangle_defect(space, a, b, c):
     """d(a,b) + d(b,c) - d(a,c), clamped at zero.
 
     The clamp only absorbs rounding dust; a valid metric never produces a
-    genuinely negative defect.
+    genuinely negative defect. A distance, or a sum of them, beyond the
+    float range is a :class:`DomainError`.
     """
     space.validate_point(a)
     space.validate_point(b)
     space.validate_point(c)
-    defect = space.distance(a, b) + space.distance(b, c) - space.distance(a, c)
+    try:
+        defect = space.distance(a, b) + space.distance(b, c) - space.distance(a, c)
+    except OverflowError:  # an exact distance beyond the float range met a float one
+        defect = math.inf
+    if not -math.inf < defect < math.inf:  # inf, -inf, or NaN from inf - inf
+        raise _distance_beyond_range()
     zero = defect - defect
     return defect if defect > zero else zero
 
@@ -756,7 +762,8 @@ def metric_segment(space, a, b, candidates, tol=DEFAULT_TOL):
     A candidate w qualifies when |d(a,w) + d(w,b) - d(a,b)| <= tol. The
     candidate list must be nonempty and contain both endpoints; the result
     therefore always contains a and b. Exact duplicates are returned once,
-    in first-seen order.
+    in first-seen order. An inf d(a, b), or a gap adding an exact distance
+    beyond the float range to a float one, is a :class:`DomainError`.
     """
     candidates = list(candidates)
     if not candidates:
@@ -766,12 +773,17 @@ def metric_segment(space, a, b, candidates, tol=DEFAULT_TOL):
     space.validate_point(a)
     space.validate_point(b)
     d_ab = space.distance(a, b)
+    if d_ab == math.inf:
+        raise _distance_beyond_range()
     seen = []
     for w in candidates:
         if w in seen:
             continue
         space.validate_point(w)
-        gap = space.distance(a, w) + space.distance(w, b) - d_ab
+        try:
+            gap = space.distance(a, w) + space.distance(w, b) - d_ab
+        except OverflowError:  # an exact distance beyond the float range met a float one
+            raise _distance_beyond_range() from None
         if abs(gap) <= tol:
             seen.append(w)
     return seen

@@ -17,6 +17,7 @@ with pairwise-distinct fiber coordinates for induction experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvariantError
@@ -32,6 +33,7 @@ from .metric import (
     IntervalPoint,
     Product,
     ProductPoint,
+    _distance_beyond_range,
     distance,
     segment_is_trivial,
 )
@@ -309,6 +311,8 @@ class GeodesicExtension:
             raise DomainError(f"mixture weight c={self.c!r} must lie in (0, 1)")
         v_check = self.c * distance(self.space, self.y, self.y_prime)
         r_check = _dirac_distance(self.space, self.y, self.eta)
+        if math.inf in (v_check, r_check):
+            raise _distance_beyond_range()
         v_off, r_off = self.v - v_check, self.r - r_check
         if abs(v_off) > tolerance(v_off) or abs(r_off) > tolerance(r_off):
             raise InvariantError("stored speed or radius disagrees with recomputation")
@@ -330,7 +334,10 @@ def _dirac_distance(space, y, eta):
     if eta.space != space:  # eta's atoms were validated on eta.space only
         for p in eta.support:
             space.validate_point(p)
-    return plain_sum(m * space.distance(y, p) for p, m in eta.atoms)
+    try:
+        return plain_sum(m * space.distance(y, p) for p, m in eta.atoms)
+    except OverflowError:  # an exact distance beyond the float range met a float one
+        return math.inf
 
 
 def build_geodesic_extension(space, eta, y, y_prime, c):

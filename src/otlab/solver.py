@@ -7,8 +7,11 @@ approximation). The entering cell comes from block-search pricing (Bonneel,
 van de Panne, Paris & Heidrich 2011): the scan resumes where the last one
 stopped, wraps round the m*n cells, and takes the most negative reduced cost
 in the first block of max(isqrt(m*n), 10) cells that has one. Cunningham's
-(1976) leaving rule keeps the tree strongly feasible, which rules out
-cycling on degenerate pivots. The spanning-tree basis is kept in arrays
+(1976) leaving rule keeps a strongly feasible tree strongly feasible, which
+rules out cycling on degenerate pivots. That covers every start from exact
+masses; on float masses whose totals differ by dust the northwest start may
+not be strongly feasible (``_northwest_corner``), and then only the pivot
+budget guards against cycling. The spanning-tree basis is kept in arrays
 indexed by node, rows 0..m-1 and columns m..m+n-1, rooted at row 0: each
 node's parent, depth and neighbours, and the flow of the basic cell that
 links it to its parent; pricing reads a cell's tree membership from these
@@ -49,7 +52,7 @@ from .errors import (
 )
 from ._numbers import DEFAULT_TOL, format_number, integer_units, plain_sum, ratio, root, tolerance
 from .measure import _point_tokens, _require_same_space
-from .metric import _check_cost_exponent, _cost_beyond_range
+from .metric import _MAX_FLOAT, _check_cost_exponent, _cost_beyond_range, _distance_beyond_range
 
 __all__ = [
     "Coupling",
@@ -151,14 +154,15 @@ def coupling_cost(pi, p=1):
 
     Only the plan's nonzero cells are costed: a vertex plan has at most
     m + n - 1 of its m * n cells. As in ``cost_matrix``, a cost beyond the
-    float range (inf, or a float power that overflows) is a DomainError.
+    float range (inf) is a DomainError, and so is a total that adds an exact
+    cost too large for a float to a float one.
     """
     _check_plan_points(pi, p)
     cost = pi.space.powered_distance
     rows, cols = pi.row_points, pi.col_points
     try:
         total = plain_sum(w * cost(rows[j], cols[k], p) for j, k, w in pi.cells())
-    except OverflowError:  # a float ** beyond the float range
+    except OverflowError:  # an exact cost beyond the float range met a float one
         total = math.inf
     if total == math.inf:
         raise _cost_beyond_range(p)
@@ -657,18 +661,19 @@ def _kr_witness(mu, nu, result):
     return DualPotential(value, tuple(zip(points, values)), "simplex-potentials")
 
 
-def kr_dual(mu, nu, independent=False, tol=DEFAULT_TOL):
+def kr_dual(mu, nu, independent=False):
     """Dual witness for the 1-Wasserstein distance.
 
     Default path: reuse the simplex potentials, turned into a single
     1-Lipschitz function via f(z) = min_j (d(z, y_j) - u_j). With
     ``independent=True`` the dual is instead solved from scratch as an
     explicit LP over the values f(z) with pairwise Lipschitz constraints
-    (scipy linprog), sharing nothing with the simplex path.
+    (scipy linprog), sharing nothing with the simplex path. A distance
+    beyond the float range is a :class:`DomainError` on either path.
     """
     _require_same_space(mu, nu)
     if not independent:
-        return _kr_witness(mu, nu, solve_wasserstein(mu, nu, p=1, tol=tol))
+        return _kr_witness(mu, nu, solve_wasserstein(mu, nu, p=1))
     space = mu.space
     points = _union_support(mu, nu)
     N = len(points)
@@ -693,7 +698,10 @@ def kr_dual(mu, nu, independent=False, tol=DEFAULT_TOL):
             constraint[i] = 1.0
             constraint[j] = -1.0
             rows_A.append(constraint)
-            rhs.append(float(space.distance(points[i], points[j])))
+            d = space.distance(points[i], points[j])
+            if not d <= _MAX_FLOAT:  # inf, or an exact distance too large for a float
+                raise _distance_beyond_range()
+            rhs.append(float(d))
     bounds = [(0.0, 0.0)] + [(None, None)] * (N - 1)
     res = linprog(-w, A_ub=rows_A, b_ub=rhs, bounds=bounds, method="highs")
     if not res.success:
