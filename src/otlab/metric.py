@@ -19,6 +19,9 @@ by an evaluator: ``_Floats`` in numpy on float coordinates, cell for cell
 bit-identical to ``powered_distance``, or ``_Units`` in integer units when
 every cell is exact, for the solver's exact path. An evaluator that cannot
 build a matrix gives up, and ``_float_costs`` or ``_unit_costs`` returns None.
+``cost_matrix`` broadcasts only a matrix of more than ``_PER_CELL_MAX`` (25)
+cells: up to about that size, numpy's fixed cost per call exceeds the
+per-cell code's.
 
 A space method gives ``inf`` for a value beyond the float range, never an
 ``OverflowError``; only the root of an exact value beyond it is a
@@ -78,6 +81,10 @@ _MIN_NORMAL = sys.float_info.min  # the smallest normal float, about 2.2e-308
 # it and the largest float (about 1.8e308) as exact numbers, for exact sums
 _EXACT_MIN_NORMAL = Fraction(_MIN_NORMAL)
 _MAX_FLOAT = int(sys.float_info.max)
+# cost matrices of at most this many cells take the scalar code even on float
+# coordinates: up to about it, numpy's fixed cost per call exceeds the
+# per-cell code's on the slowest kind per cell, a Product at p != q (README)
+_PER_CELL_MAX = 25
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +354,14 @@ class _CostMatrix:
         """The m x n list of lists of ``powered_distance(y, z, p)``, y in rows, z in cols.
 
         The points must already be valid points of the space and p >= 1.
-        When every coordinate (every matrix entry, for a ``Finite`` space) is
-        a float, the matrix is broadcast in numpy, cell for cell bit-identical
-        to the scalar code. Any other input takes the scalar code cell by cell.
-        A cell beyond the float range (``inf``) is a :class:`DomainError`:
-        no solve runs on it.
+        A matrix of more than ``_PER_CELL_MAX`` cells whose coordinates (matrix
+        entries, for a ``Finite`` space) are all floats is broadcast in numpy,
+        cell for cell bit-identical to the scalar code. Any other input, and
+        every matrix of at most ``_PER_CELL_MAX`` cells, takes the scalar code
+        cell by cell. A cell beyond the float range (``inf``) is a
+        :class:`DomainError`: no solve runs on it.
         """
-        costs = self._float_costs(rows, cols, p)
+        costs = None if len(rows) * len(cols) <= _PER_CELL_MAX else self._float_costs(rows, cols, p)
         if costs is None:
             cell = self.powered_distance
             matrix = [[cell(y, z, p) for z in cols] for y in rows]
@@ -554,7 +562,15 @@ def _validate_finite_matrix(matrix):
         units = [flat[i : i + n] for i in range(0, n * n, n)], L
         D, slack = np.array(flat, dtype=object), 0
     else:
-        D = np.array([float(v) for v in flat])
+        values = []
+        for k, v in enumerate(flat):
+            try:
+                values.append(float(v))
+            except OverflowError:  # an exact entry too large for a float
+                raise InvalidSpaceError(
+                    f"entry at ({k // n}, {k % n}) is beyond the float range"
+                ) from None
+        D = np.array(values)
         slack = 1e-12 * D.max()
     D = D.reshape(n, n)
     for k in range(n):

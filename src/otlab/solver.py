@@ -670,6 +670,15 @@ def kr_dual(mu, nu, independent=False):
     explicit LP over the values f(z) with pairwise Lipschitz constraints
     (scipy linprog), sharing nothing with the simplex path. A distance
     beyond the float range is a :class:`DomainError` on either path.
+
+    HiGHS reads a bound of 1e20 or more as infinite and works to absolute
+    tolerances, so the LP is solved on the distances divided by the power of
+    two 2**e that puts the largest in [0.5, 1), and its values are multiplied
+    back by 2**e. Both scalings are exact unless a scaled distance falls
+    below the normal floats, so pairs that differ by a power-of-two scale
+    otherwise get the same LP. Only the common scale is fixed: a wide spread
+    of distances within one LP (1e300 and 1e-10, say) still meets HiGHS's
+    absolute tolerances at its small end.
     """
     _require_same_space(mu, nu)
     if not independent:
@@ -702,12 +711,14 @@ def kr_dual(mu, nu, independent=False):
             if not d <= _MAX_FLOAT:  # inf, or an exact distance too large for a float
                 raise _distance_beyond_range()
             rhs.append(float(d))
+    e = math.frexp(max(rhs))[1]
     bounds = [(0.0, 0.0)] + [(None, None)] * (N - 1)
-    res = linprog(-w, A_ub=rows_A, b_ub=rhs, bounds=bounds, method="highs")
+    b_ub = [math.ldexp(d, -e) for d in rhs]
+    res = linprog(-w, A_ub=rows_A, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:
         raise SolverStallError(f"independent dual LP failed: {res.message}")
-    values = [float(x) for x in res.x]
-    value = float(w @ res.x)
+    values = [math.ldexp(float(x), e) for x in res.x]
+    value = math.ldexp(float(w @ res.x), e)
     return DualPotential(value, tuple(zip(points, values)), "independent-lp")
 
 

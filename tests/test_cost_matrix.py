@@ -1,11 +1,15 @@
 """Bit identity of every space's ``cost_matrix`` with per-cell ``powered_distance``.
 
-Float coordinates take the numpy broadcast; every cell must still carry the
-scalar code's type and, for floats, its exact bits (``float.hex``). Exact and
-mixed int/float coordinates take the scalar code cell by cell.
+Float coordinates of a matrix of more than ``_PER_CELL_MAX`` cells take the
+numpy broadcast; every cell must still carry the scalar code's type and, for
+floats, its exact bits (``float.hex``). Smaller matrices, and exact and mixed
+int/float coordinates, take the scalar code cell by cell. So every check runs
+on both sides of that size, and the broadcast, which the solver no longer
+runs on a small matrix, is also checked there directly (``_float_costs``).
 """
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -14,6 +18,7 @@ import pytest
 
 from otlab import (
     Coupling,
+    DomainError,
     Euclidean,
     EuclideanPoint,
     Finite,
@@ -25,9 +30,16 @@ from otlab import (
     SpaceMismatchError,
     coupling_cost,
 )
+from otlab.metric import _PER_CELL_MAX
 
 EXPONENTS = (1, 2, 3, 4, 1.5)
-KINDS = ("float", "fraction", "mixed")
+# float coordinates: "tiny" ones, each scaled by one of TINY, make sums of
+# powers fall below the normal floats, where the scalar code rescales; "huge"
+# ones (Euclidean coordinates up to 1e200) make costs beyond the float range
+KINDS = ("float", "fraction", "mixed", "tiny", "huge")
+TINY = (1e-160, 1e-250, 1e-310)
+# (m, n): just within the per-cell code's size limit, just past it, and well past it
+SHAPES = ((2, _PER_CELL_MAX // 2), (2, _PER_CELL_MAX // 2 + 1), (30, 33))
 
 
 def _plane_metric(rng, size):
@@ -57,17 +69,25 @@ def _mixed_metric(rng, size):
     )
 
 
+def _scaled(matrix, scale):
+    return tuple(tuple(v * scale for v in row) for row in matrix)
+
+
 RNG = np.random.default_rng(20261018)
 FLOAT_FINITE = Finite(_plane_metric(RNG, 12))
 EXACT_FINITE = Finite(_grid_metric(RNG, 12))
 MIXED_FINITE = Finite(_mixed_metric(RNG, 12))
 BIG_FINITE = Finite(_plane_metric(RNG, 256))
+TINY_FINITE = Finite(_scaled(FLOAT_FINITE.matrix, 1e-300))
+HUGE_FINITE = Finite(_scaled(FLOAT_FINITE.matrix, 1e200))
 
 BASES = {
     "interval": Interval(Fraction(1, 2)),
     "E1": Euclidean(1),
     "E2": Euclidean(2),
     "finite": FLOAT_FINITE,
+    "finite-tiny": TINY_FINITE,
+    "finite-huge": HUGE_FINITE,
 }
 
 SPACES = {
@@ -83,6 +103,8 @@ SPACES = {
     "finite-exact": EXACT_FINITE,
     "finite-mixed": MIXED_FINITE,
     "finite-256": BIG_FINITE,
+    "finite-tiny": TINY_FINITE,
+    "finite-huge": HUGE_FINITE,
 }
 for _q in (1, 2, 3):
     for _name, _base in BASES.items():
@@ -92,8 +114,10 @@ SPACES["product-q2-exact-finite"] = Product(1, 2, EXACT_FINITE)
 
 
 def _scalar(rng, kind, lo, hi):
-    if kind == "float":
+    if kind in ("float", "huge"):
         return float(rng.uniform(lo, hi))
+    if kind == "tiny":
+        return float(rng.uniform(lo, hi)) * float(rng.choice(TINY))
     if kind == "fraction":
         return Fraction(int(rng.integers(lo * 32, hi * 32 + 1)), 32)
     # mixed: ints at the ends of the range, floats in between
@@ -106,7 +130,8 @@ def _point(rng, space, kind):
     if isinstance(space, Interval):
         return IntervalPoint(_scalar(rng, kind, 0, 1))
     if isinstance(space, Euclidean):
-        return EuclideanPoint(tuple(_scalar(rng, kind, -10, 10) for _ in range(space.dim)))
+        far = 1e199 if kind == "huge" else 1  # a product's t stays in [0, 1]
+        return EuclideanPoint(tuple(_scalar(rng, kind, -10, 10) * far for _ in range(space.dim)))
     if isinstance(space, Finite):
         return FinitePoint(int(rng.integers(0, space.size)))
     return ProductPoint(_scalar(rng, kind, 0, 1), _point(rng, space.base, kind))
@@ -118,27 +143,68 @@ def _points(rng, space, kind, m, n):
     return rows, cols
 
 
-def _floats_only(space, kind):
-    """Whether the inputs are all floats, so that the broadcast path must run."""
+def _floats_only(space, points):
+    """Whether every coordinate (matrix entry, for a ``Finite`` space) is a float.
+
+    Exactly then can the broadcast build the matrix.
+    """
     if isinstance(space, Product):
-        return kind == "float" and _floats_only(space.base, kind)
+        fibers = all(type(y.t) is float for y in points)
+        return fibers and _floats_only(space.base, [y.x for y in points])
     if isinstance(space, Finite):
         return all(type(v) is float for row in space.matrix for v in row)
-    return kind == "float"
+    if isinstance(space, Interval):
+        return all(type(y.t) is float for y in points)
+    return all(type(c) is float for y in points for c in y.coords)
+
+
+def _reaches_inf(space, kind):
+    """Whether inputs of ``kind`` give costs beyond the float range in ``space``."""
+    if isinstance(space, Product):
+        return _reaches_inf(space.base, kind)
+    if isinstance(space, Finite):
+        return space is HUGE_FINITE
+    return kind == "huge" and isinstance(space, Euclidean)
+
+
+def _sum_of_powers(space, y, z):
+    """The sum the scalar code takes a root of, or None for a kind that takes none."""
+    if isinstance(space, Euclidean) and space.dim >= 2:
+        return space._sq(y, z)
+    if isinstance(space, Product) and space.q != 1:
+        return space.powered_distance(y, z, space.q)
+    return None
+
+
+def _assert_same_cells(got, want, p):
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row)
+        for cell, cost in zip(got_row, want_row):
+            assert type(cell) is type(cost), (p, cell, cost)
+            if isinstance(cost, float):
+                assert cell.hex() == cost.hex(), (p, cell, cost)
+            else:
+                assert cell == cost, (p, cell, cost)
 
 
 def assert_bit_identical(space, rows, cols, p):
-    got = space.cost_matrix(rows, cols, p)
-    assert len(got) == len(rows)
-    for y, row in zip(rows, got):
-        assert len(row) == len(cols)
-        for z, cell in zip(cols, row):
-            want = space.powered_distance(y, z, p)
-            assert type(cell) is type(want), (y, z, p)
-            if isinstance(want, float):
-                assert cell.hex() == want.hex(), (y, z, p, cell, want)
-            else:
-                assert cell == want, (y, z, p)
+    """``cost_matrix``, the broadcast where it can run, and the per-cell code agree bit for bit.
+
+    A matrix with an inf cell is refused with the same DomainError at every
+    size. Returns the per-cell matrix.
+    """
+    want = [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+    costs = space._float_costs(rows, cols, p)
+    if costs is not None:
+        _assert_same_cells(costs.tolist(), want, p)
+    if any(math.inf in row for row in want):
+        message = f"a cost d**p at p={p} is beyond the float range"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            space.cost_matrix(rows, cols, p)
+    else:
+        _assert_same_cells(space.cost_matrix(rows, cols, p), want, p)
+    return want
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -148,11 +214,21 @@ def test_cost_matrix_matches_powered_distance_bit_for_bit(name):
     for kind in KINDS:
         if isinstance(space, Finite) and kind != "float":
             continue  # a finite space's kind is its matrix, not its points
-        size = 30 if kind != "fraction" else 10
-        for p in EXPONENTS:
-            rows, cols = _points(rng, space, kind, size, size + 3)
-            assert (space._float_costs(rows, cols, p) is not None) == _floats_only(space, kind)
-            assert_bit_identical(space, rows, cols, p)
+        infs = rescaled = 0
+        for m, n in SHAPES:
+            if kind not in ("float", "mixed") and (m, n) == SHAPES[-1]:
+                m, n = 10, 13  # exact cells, and rescued or inf ones, are slow
+            for p in EXPONENTS:
+                rows, cols = _points(rng, space, kind, m, n)
+                broadcast = space._float_costs(rows, cols, p) is not None
+                assert broadcast == _floats_only(space, rows + cols)
+                want = assert_bit_identical(space, rows, cols, p)
+                infs += sum(row.count(math.inf) for row in want)
+                sums = (_sum_of_powers(space, y, z) for y in rows for z in cols if y != z)
+                rescaled += sum(s is not None and s < sys.float_info.min for s in sums)
+        assert (infs > 0) == _reaches_inf(space, kind)
+        if kind == "tiny" and _sum_of_powers(space, rows[0], cols[0]) is not None:
+            assert rescaled, "no sum fell below the normal floats"
 
 
 def test_all_256_points_of_a_finite_space():
@@ -165,11 +241,12 @@ def test_all_256_points_of_a_finite_space():
 def test_running_square_sum_keeps_its_order():
     # left to right, each 1 is lost against 1e16 (a tie, rounded to even);
     # numpy's sum over an axis of eight or more terms adds some of the ones
-    # together first and gives 1e16 + 8
+    # together first and gives 1e16 + 8; the broadcast must not
     space = Euclidean(9)
     y = EuclideanPoint((1e8,) + (1.0,) * 8)
     z = EuclideanPoint((0.0,) * 9)
-    assert space.cost_matrix([y], [z], 2)[0][0] == space.powered_distance(y, z, 2) == 1e16
+    assert space._float_costs([y], [z], 2).tolist() == [[1e16]]
+    assert assert_bit_identical(space, [y], [z], 2) == [[1e16]]
 
 
 def test_coupling_cost_rejects_a_foreign_point():

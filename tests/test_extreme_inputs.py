@@ -23,6 +23,7 @@ from otlab import (
     Product,
     ProductPoint,
     SubProbabilityMeasure,
+    load_finite_space,
     load_measure,
     solve_wasserstein,
 )
@@ -68,6 +69,26 @@ def test_infinite_finite_space_entry_is_refused():
         Finite(((0.0, INF), (INF, 0.0)))
 
 
+def test_exact_entry_beyond_the_float_range_in_a_mixed_finite_space_is_refused():
+    big = 10**400
+    for far in (big, Fraction(big, 3)):
+        with pytest.raises(InvalidSpaceError, match=r"^entry at \(0, 2\) is beyond the float range$"):
+            Finite(((0, 1e300, far), (1e300, 0, far), (far, far, 0)))
+    # all exact, the same distances are compared exactly
+    assert Finite(((0, 10**300, big), (10**300, 0, big), (big, big, 0))).size == 3
+
+
+def test_finite_space_file_entry_beyond_the_float_range_is_a_parse_error(tmp_path):
+    # a file's entries are all floats or, with exact=True, all exact: the
+    # float reading refuses the far entry where it is parsed
+    path = tmp_path / "far.txt"
+    path.write_text("3\n0 1e300 1e400\n1e300 0 1e400\n1e400 1e400 0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="beyond the float range") as err:
+        load_finite_space(str(path))
+    assert (err.value.line, err.value.column) == (2, 3)
+    assert load_finite_space(str(path), exact=True).matrix[0][2] == 10**400
+
+
 def test_file_number_beyond_the_float_range_is_a_parse_error(measure_file):
     path = measure_file(["1 0.5 1e400 0"])
     with pytest.raises(ParseError, match="beyond the float range") as err:
@@ -108,6 +129,19 @@ def test_float_cost_beyond_the_float_range_is_a_domain_error(p):
             solve_wasserstein(mu, nu, p=p)
 
 
+def _broadcast_alike(space, rows, cols, p):
+    """The per-cell matrix, once the numpy broadcast is checked to give it bit for bit.
+
+    ``cost_matrix`` broadcasts only a matrix of more than ``_PER_CELL_MAX``
+    cells, so these small matrices reach the broadcast through ``_float_costs``.
+    """
+    want = [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+    costs = space._float_costs(rows, cols, p)
+    assert costs is not None
+    assert [[c.hex() for c in row] for row in costs.tolist()] == [[c.hex() for c in row] for row in want]
+    return want
+
+
 def test_broadcast_cost_matrix_checks_every_cell():
     space = Euclidean(2)
     rows = [EuclideanPoint((0.0, 0.0)), EuclideanPoint((1e200, 0.0))]
@@ -116,10 +150,10 @@ def test_broadcast_cost_matrix_checks_every_cell():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             space.cost_matrix(rows, cols, 2)
+        assert _broadcast_alike(space, rows, cols, 2)[1] == [INF]
         # a square of 1e300 is still a float
         near = [EuclideanPoint((-1e150, 0.0)), rows[0]]
-        want = [[space.powered_distance(rows[0], z, 1) for z in near]]
-        assert space.cost_matrix(rows[:1], near, 1) == want
+        assert space.cost_matrix(rows[:1], near, 1) == _broadcast_alike(space, rows[:1], near, 1)
 
 
 @pytest.mark.parametrize("p", [1, 1.5])
@@ -134,14 +168,12 @@ def test_euclidean_distance_whose_square_overflows_is_kept(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         costs = space.cost_matrix(rows, cols, p)
-        assert costs == [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+        assert costs == _broadcast_alike(space, rows, cols, p)
         assert costs[1][1] == pytest.approx(5e200 ** float(p), rel=1e-15)
         assert costs[0][0] == 1e200 ** float(p)
         city = Product(1, 1, space)
         points = [ProductPoint(0.5, y) for y in rows]
-        assert city.cost_matrix(points, points[::-1], p) == [
-            [city.powered_distance(y, z, p) for z in points[::-1]] for y in points
-        ]
+        assert city.cost_matrix(points, points[::-1], p) == _broadcast_alike(city, points, points[::-1], p)
         for origin, point in (((0.0, 0.0), far.coords), ((0, 0), (-(10**200), 0))):
             # exact coordinates take the same route once their square is a float
             mu = DiscreteMeasure(space, ((EuclideanPoint(origin), 1),))
@@ -169,15 +201,14 @@ def test_euclidean_distance_whose_square_underflows_is_kept(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         costs = space.cost_matrix(rows, cols, p)
-        assert costs == [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+        assert costs == _broadcast_alike(space, rows, cols, p)
         assert costs[0][0] == costs[1][1] == pytest.approx(5e-170 ** float(p), rel=1e-14, abs=0)
         assert costs[0][3] == pytest.approx((2**0.5 * 1e-155) ** float(p), rel=1e-14, abs=0)
         assert costs[0][1] == costs[1][0] == 0.0  # equal points stay at 0
         city = Product(1, 1, space)
         points = [ProductPoint(0.5, y) for y in rows]
         city_costs = city.cost_matrix(points, points[::-1], p)
-        want = [[city.powered_distance(y, z, p) for z in points[::-1]] for y in points]
-        assert city_costs == want
+        assert city_costs == _broadcast_alike(city, points, points[::-1], p)
         assert city_costs[1][3] == pytest.approx(costs[1][1], rel=1e-14, abs=0)
         assert city_costs[2][3] == pytest.approx(costs[0][3], rel=1e-14, abs=0)
 
@@ -240,7 +271,7 @@ def test_product_distance_whose_sum_underflows_is_kept(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         costs = PLANE.cost_matrix(rows, cols, p)
-    assert costs == [[PLANE.powered_distance(y, z, p) for z in cols] for y in rows]
+        assert costs == _broadcast_alike(PLANE, rows, cols, p)
     assert costs[0][0] == costs[1][1] == pytest.approx(5e-170 ** float(p), rel=1e-14, abs=0)
     assert costs[0][1] == costs[1][0] == 0.0  # equal points stay at 0
     # a cell whose sum is a normal float keeps the root of that sum
@@ -296,7 +327,7 @@ def test_product_broadcast_rescues_the_cells_whose_sum_overflows(p, q):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         costs = space.cost_matrix(rows, cols, p)
-    assert costs == [[space.powered_distance(y, z, p) for z in cols] for y in rows]
+        assert costs == _broadcast_alike(space, rows, cols, p)
     assert costs[0][0] == pytest.approx(5e200 ** float(p), rel=1e-14, abs=0)
     assert costs[2][1] == 0.0
     normal = space.powered_distance(origin, unit, q)
@@ -304,6 +335,7 @@ def test_product_broadcast_rescues_the_cells_whose_sum_overflows(p, q):
     # at p = q the cost is the sum itself, beyond the float range
     with pytest.raises(DomainError, match="beyond the float range"):
         space.cost_matrix(rows, cols, q)
+    assert _broadcast_alike(space, rows, cols, q)[0][0] == INF
 
 
 @pytest.mark.parametrize(
@@ -388,6 +420,7 @@ def test_exact_product_sum_just_below_the_normal_floats_is_kept_alike():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert space.cost_matrix([float_a, float_b], [float_b], p) == [[want_p], [0.0]]
+            assert _broadcast_alike(space, [float_a, float_b], [float_b], p) == [[want_p], [0.0]]
 
 
 # the scalar cost of each pair raises OverflowError inside the space: a float

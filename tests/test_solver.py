@@ -1,6 +1,7 @@
 """Transportation solver: frozen values, certificates, oracles, duals."""
 
 import dataclasses
+import math
 import sys
 from fractions import Fraction
 
@@ -137,6 +138,27 @@ def test_kr_dual_routes_agree(snowflake_plane):
         assert reused.method != fresh.method
         assert float(reused.value) == pytest.approx(float(primal.powered_cost), abs=1e-9)
         assert float(fresh.value) == pytest.approx(float(primal.powered_cost), abs=1e-8)
+
+
+@pytest.mark.parametrize("window", [1e-30, 1e-7, 1e-4, 1e25, 1e120])
+def test_independent_kr_dual_holds_at_any_coordinate_scale(window):
+    # pairs drawn at unit scale are moved by the power of two 2**k nearest the
+    # window, which multiplies every float distance, and so W1, by 2**k
+    # exactly; the reference is the unit-scale primal, since a float solve at
+    # 1e-30 can certify a plan that is not optimal
+    plane = Euclidean(2)
+    k = round(math.log2(window))
+
+    def moved(measure):
+        points = (EuclideanPoint(tuple(math.ldexp(c, k) for c in y.coords)) for y in measure.support)
+        return DiscreteMeasure(plane, tuple(zip(points, measure.masses)))
+
+    rng = make_rng(24)
+    for _ in range(20):
+        mu, nu = random_measure(rng, plane, 6), random_measure(rng, plane, 6)
+        want = math.ldexp(solve_wasserstein(mu, nu, p=1).cost, k)
+        got = kr_dual(moved(mu), moved(nu), independent=True).value
+        assert abs(got - want) <= 1e-9 * want, (got, want)  # no absolute slack at 1e-30
 
 
 @pytest.mark.parametrize("x", [Fraction(1, 3), 0.25])
