@@ -208,7 +208,8 @@ class SubProbabilityMeasure:
 
 
 def _require_same_space(mu, nu):
-    if mu.space != nu.space:
+    # one space object, the common case, skips the dataclass ==
+    if mu.space is not nu.space and mu.space != nu.space:
         raise SpaceMismatchError("measures live on different spaces")
 
 

@@ -272,17 +272,21 @@ class _Units:
         return units
 
     def entries(self, space, rows, cols):
-        # a mixed matrix can have all-exact blocks, so only the selected cells count
-        matrix, L = space._unit_matrix
+        matrix, L, has_float = space._unit_matrix
         picks = [z.index for z in cols]
         cells = [[matrix[y.index][k] for k in picks] for y in rows]
-        for row in cells:
-            if None in row:
-                raise _GiveUp
+        # a mixed matrix can have all-exact blocks, so only the selected cells count
+        if has_float and any(None in row for row in cells):
+            raise _GiveUp
         return cells, L
 
     def rescue(self, space, costs, sums, rows, cols, p):
         return costs  # an exact sum keeps its root
+
+
+# the evaluators hold no state, so one of each serves every matrix
+_FLOATS = _Floats()
+_UNITS = _Units()
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +383,14 @@ class _CostMatrix:
             # a difference or a square can overflow; cost_matrix refuses the
             # inf cells, so numpy need not warn about them
             with np.errstate(over="ignore", invalid="ignore"):
-                return self._costs(_Floats(), rows, cols, p)
+                return self._costs(_FLOATS, rows, cols, p)
         except _GiveUp:
             return None
 
     def _unit_costs(self, rows, cols, p):
         """The cost matrix in integer units, or None unless every cell is exact."""
         try:
-            return self._costs(_Units(), rows, cols, p)
+            return self._costs(_UNITS, rows, cols, p)
         except _GiveUp:
             return None
 
@@ -559,7 +563,7 @@ def _validate_finite_matrix(matrix):
     units = None
     if all_exact(flat):
         flat, L = integer_units(flat)  # the entries times L, as ints
-        units = [flat[i : i + n] for i in range(0, n * n, n)], L
+        units = [flat[i : i + n] for i in range(0, n * n, n)], L, False
         D, slack = np.array(flat, dtype=object), 0
     else:
         values = []
@@ -634,13 +638,16 @@ class Finite(_CostMatrix):
 
     @cached_property
     def _unit_matrix(self):
-        """(M, L): every exact entry times L, the lcm of their denominators, and None for a float."""
+        """(M, L, has_float): each exact entry times L, the lcm of their denominators.
+
+        A float entry is None in M, and has_float says whether there is one.
+        """
         L = denominator_lcm([v for row in self.matrix for v in row if is_exact(v)])
         units = [
             [v.numerator * (L // v.denominator) if is_exact(v) else None for v in row]
             for row in self.matrix
         ]
-        return units, L
+        return units, L, any(None in row for row in units)
 
     @cached_property
     def _int_costs(self):  # true when no entry is a Fraction

@@ -20,7 +20,9 @@ pivot walks up from both ends of the entering cell to the apex of its cycle,
 reading the flows by node and picking the leaving cell on the way, turns
 round the parent links from the entering cell's end up to the node the
 leaving cell cuts off, each flow moving to its link's new child, and
-recomputes depths and potentials only on the subtree it re-hangs. Exact
+recomputes depths and potentials only on the subtree it re-hangs. A solve
+that makes no pivot returns the northwest dict as the walk filled it; after
+a pivot the flows are read back from the nodes. Exact
 inputs (int/Fraction masses and costs) are recognized automatically: masses
 are scaled by the lcm of their denominators, and the space builds the costs
 in integer units straight from the coordinates, so the pivots and the
@@ -28,7 +30,9 @@ certificate run on Python ints and the results become Fractions once, at
 the end; a potential is typed by a walk of the final tree unless every
 exact cost is an int (a ``Finite`` space with no Fraction entry), when it
 is the kernel's int. Scaling every cost by one positive integer scales
-every reduced cost by it too, so no pivot depends on that integer.
+every reduced cost by it too, so no pivot depends on that integer. The plan
+and the result are built by ``_frozen`` in one update of each new
+instance's dict, as ``__init__`` would leave it.
 
 The optimal cost is unique, so exact ``powered_cost``, ``cost`` and
 ``certified`` do not depend on the pivot rule. The pivot count does, and so
@@ -72,6 +76,18 @@ __all__ = [
 _ENTERING_EPS = 1e-12  # float-mode threshold for a genuinely negative reduced cost
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass ``cls``, its fields set in one dict update, unchecked.
+
+    ``__init__`` sets them one ``object.__setattr__`` at a time. The fields
+    come in their declared order, so the instance dict, and with it ``repr``,
+    ``==``, ``hash`` and the pickle bytes, is the one ``__init__`` leaves.
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Coupling:
     """A transport plan between two finitely supported measures.
@@ -103,14 +119,12 @@ class Coupling:
 
     @classmethod
     def _solved(cls, space, row_points, col_points, weights):
-        """The plan of a simplex solve: its four fields set in one dict update, unchecked.
+        """The plan of a simplex solve, built by ``_frozen`` without the checks above.
 
         The simplex keeps its flows nonnegative and on the measures' marginals,
-        and hands over tuples, so the checks above would only re-sum the plan.
+        and hands over tuples, so the checks would only re-sum the plan.
         """
-        plan = object.__new__(cls)
-        vars(plan).update(space=space, row_points=row_points, col_points=col_points, weights=weights)
-        return plan
+        return _frozen(cls, space=space, row_points=row_points, col_points=col_points, weights=weights)
 
     def row_sums(self):
         return tuple(map(plain_sum, self.weights))
@@ -250,8 +264,9 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
     adj = [[] for _ in range(nodes)]
     u = [0] * m
     v = [0] * n
-    # The basic cells in the returned dict's order; the flows themselves are
-    # kept on the nodes and filled in when the dict is handed out.
+    # The basic cells in the returned dict's order. The flows live on the
+    # nodes; the dict keeps the northwest walk's until a pivot moves one, and
+    # is then filled in from the nodes at the end.
     flows = _northwest_corner(a, b, m, n)
     # The northwest staircase is a path from row 0: each cell after the first
     # moves the row or the column by one, and that row or column is the new
@@ -305,7 +320,7 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
                     break
                 left = block if block < cells - scanned else cells - scanned
         if ei < 0:
-            return _fill_flows(flows, parent, flow, m), pivots, u, v, adj
+            return (_fill_flows(flows, parent, flow, m) if pivots else flows), pivots, u, v, adj
         if pivots >= budget:
             current = _flow_cost(_fill_flows(flows, parent, flow, m), cost)
             raise SolverStallError(
@@ -529,11 +544,11 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     flows, pivots, u, v, adj = _transport_simplex(a, b, cost, m, n, scale, budget)
     powered = _flow_cost(flows, cost)
     certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol))
-    # the nonzero cells: integer flows become Fractions, float ones stay as they are
-    weights = [[0] * n for _ in range(m)]
+    # the nonzero cells, row-major: integer flows become Fractions, float ones stay as they are
+    weights = [0] * (m * n)
     for (i, j), f in flows.items():
         if f:
-            weights[i][j] = f if L is None else ratio(f, L)
+            weights[i * n + j] = f if L is None else ratio(f, L)
     if scale is not None:
         powered = ratio(powered, scale)
         # the kernel's potentials are in cost units; each is reported as the int
@@ -544,8 +559,10 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
             u = [x // Lc if whole else ratio(x, Lc) for x, whole in zip(u, ints)]
             v = [x // Lc if whole else ratio(x, Lc) for x, whole in zip(v, ints[m:])]
 
-    plan = Coupling._solved(space, rows, cols, tuple(map(tuple, weights)))
-    return TransportResult(
+    cells = iter(weights)  # zipped n at a time, it yields the plan's rows as tuples
+    plan = Coupling._solved(space, rows, cols, tuple(zip(*[cells] * n)))
+    return _frozen(
+        TransportResult,
         p=p,
         powered_cost=powered,
         cost=root(powered, p),
