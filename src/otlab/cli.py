@@ -78,7 +78,6 @@ class RunConfig:
     window: object = None
     report: str = None
     csv: str = None
-    space_explicit: bool = False
 
     def __post_init__(self):
         # choices were checked where their text was read: by argparse for a
@@ -147,24 +146,24 @@ def _window(key, token, exact):
     return radius
 
 
-# key -> (RunConfig field, reader, whether it names the space, argparse
-# arguments of its flag), in the order the flags appear in --help
+# key -> (RunConfig field, reader, argparse arguments of its flag), in --help
+# order; a flag keeps its text, so flags and config entries share one reader
 _OPTIONS = {
-    "mode": ("mode", _text, False, {"choices": ("float", "rational")}),
-    "seed": ("seed", _integer, False, {"type": int}),
-    "trials": ("trials", _integer, False, {"type": int}),
-    "tol": ("tol", _real, False, {"type": float}),
-    "space": ("space_kind", _text, True, {"choices": ("interval", "product")}),
-    "alpha": ("alpha", _number, True, {"help": "product snowflake exponent in (0, 1]"}),
-    "q": ("q", _number, True, {"help": "product combining exponent, q >= 1"}),
+    "mode": ("mode", _text, {"choices": ("float", "rational")}),
+    "seed": ("seed", _integer, {}),
+    "trials": ("trials", _integer, {}),
+    "tol": ("tol", _real, {}),
+    "space": ("space_kind", _text, {"choices": ("interval", "product")}),
+    "alpha": ("alpha", _number, {"help": "product snowflake exponent in (0, 1]"}),
+    "q": ("q", _number, {"help": "product combining exponent, q >= 1"}),
     "base": (
-        "base_kind", _text, True, {"choices": ("euclidean", "interval"), "help": "product base space"}
+        "base_kind", _text, {"choices": ("euclidean", "interval"), "help": "product base space"}
     ),
-    "dim": ("dim", _integer, True, {"type": int, "help": "euclidean base dimension"}),
-    "order": ("order", _number, False, {"help": "transport order p (dist)"}),
-    "window": ("window", _window, False, {"help": "sampling window: radius or lo:hi"}),
-    "report": ("report", _text, False, {"help": "report output path (verify/scenario)"}),
-    "csv": ("csv", _text, False, {"help": "residual CSV output path (verify/scenario)"}),
+    "dim": ("dim", _integer, {"help": "euclidean base dimension"}),
+    "order": ("order", _number, {"help": "transport order p (dist)"}),
+    "window": ("window", _window, {"help": "sampling window: radius or lo:hi"}),
+    "report": ("report", _text, {"help": "report output path (verify/scenario)"}),
+    "csv": ("csv", _text, {"help": "residual CSV output path (verify/scenario)"}),
 }
 
 
@@ -195,7 +194,7 @@ def parse_config(path):
         if not value:
             value_col = 1 + len(text.rstrip())
             raise ParseError(f"missing value for {key!r}", path=path, line=lineno, column=value_col)
-        choices = _OPTIONS[key][3].get("choices")
+        choices = _OPTIONS[key][2].get("choices")
         if choices and value not in choices:
             value_col = 2 + len(key_part) + len(value_part) - len(value_part.lstrip())
             raise ParseError(
@@ -214,21 +213,19 @@ def build_config(args):
     for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
-            entries[key] = str(flag)
+            entries[key] = flag
     exact = entries.get("mode") == "rational"
     values = {}
-    space_explicit = False
-    for key, (field, read, names_space, _) in _OPTIONS.items():
+    for key, (field, read, _) in _OPTIONS.items():
         if key in entries:
             values[field] = read(key, entries[key], exact)
-            space_explicit = space_explicit or names_space
 
-    if values.get("space_kind") == "product" or "alpha" in values or "q" in values:
+    if values.get("space_kind") == "product" or values.keys() & {"alpha", "q", "base_kind", "dim"}:
         values.setdefault("space_kind", "product")
         one = Fraction(1) if exact else 1.0
         values.setdefault("alpha", one / 2)
         values.setdefault("q", 2)
-    return RunConfig(space_explicit=space_explicit, **values)
+    return RunConfig(**values)
 
 
 def build_space(cfg):
@@ -334,7 +331,7 @@ def _emit_campaign(report, cfg, default_stem):
 def cmd_verify(cfg, suite):
     """Run one invariant campaign; write its report and residual CSV."""
     space = None
-    if cfg.space_explicit and cfg.space_kind == "product":
+    if cfg.space_kind == "product":
         space = build_space(cfg)
     report = campaign.run_suite(
         suite,
@@ -369,7 +366,7 @@ def _add_common(parser, trailing):
     # that was already given before the subcommand
     kw = {"default": argparse.SUPPRESS} if trailing else {}
     parser.add_argument("--config", help="key = value config file; flags override it", **kw)
-    for key, (_, _, _, flag) in _OPTIONS.items():
+    for key, (_, _, flag) in _OPTIONS.items():
         parser.add_argument(f"--{key}", **flag, **kw)
 
 

@@ -43,7 +43,6 @@ import numpy as np
 
 from .errors import DomainError, InvalidSpaceError, ParseError, SpaceMismatchError
 from ._numbers import (
-    DEFAULT_TOL,
     all_exact,
     denominator_lcm,
     format_number,
@@ -54,6 +53,7 @@ from ._numbers import (
     powered_abs,
     ratio,
     root,
+    tolerance,
 )
 
 __all__ = [
@@ -142,6 +142,8 @@ def point_sort_key(point):
 # matrix of ``powered_distance``, in the operations of an evaluator ``ev``.
 # ``delta`` and ``power`` check their own exponent; a formula passes any other
 # to ``ev.check`` first, so the units refuse a matrix (``_GiveUp``) before a cell.
+# ``rescue`` is a float-only step: a formula calls it only after ``ev.check`` of
+# a non-integral exponent (p / 2, or 1 / q at q != 1), which the units refuse.
 
 
 class _GiveUp(Exception):
@@ -266,10 +268,7 @@ class _Units:
         return [[c**e for c in row] for row in C], S**e
 
     def root(self, units, q):
-        # the q-th root of an exact cost stays exact only at q == 1
-        if q != 1:
-            raise _GiveUp
-        return units
+        return units  # a formula checked 1 / q first, so q == 1
 
     def entries(self, space, rows, cols):
         matrix, L, has_float = space._unit_matrix
@@ -279,9 +278,6 @@ class _Units:
         if has_float and any(None in row for row in cells):
             raise _GiveUp
         return cells, L
-
-    def rescue(self, space, costs, sums, rows, cols, p):
-        return costs  # an exact sum keeps its root
 
 
 # the evaluators hold no state, so one of each serves every matrix
@@ -779,14 +775,15 @@ def triangle_defect(space, a, b, c):
     return defect if defect > zero else zero
 
 
-def metric_segment(space, a, b, candidates, tol=DEFAULT_TOL):
+def metric_segment(space, a, b, candidates):
     """Points among ``candidates`` lying on the metric segment [a, b].
 
-    A candidate w qualifies when |d(a,w) + d(w,b) - d(a,b)| <= tol. The
-    candidate list must be nonempty and contain both endpoints; the result
-    therefore always contains a and b. Exact duplicates are returned once,
-    in first-seen order. An inf d(a, b), or a gap adding an exact distance
-    beyond the float range to a float one, is a :class:`DomainError`.
+    A candidate w qualifies when |d(a,w) + d(w,b) - d(a,b)| <= the tolerance
+    of that gap: 0 for an exact gap, 1e-9 for a float one. The candidate list
+    must be nonempty and contain both endpoints; the result therefore always
+    contains a and b. Exact duplicates are returned once, in first-seen
+    order. An inf d(a, b), or a gap adding an exact distance beyond the
+    float range to a float one, is a :class:`DomainError`.
     """
     candidates = list(candidates)
     if not candidates:
@@ -807,7 +804,7 @@ def metric_segment(space, a, b, candidates, tol=DEFAULT_TOL):
             gap = space.distance(a, w) + space.distance(w, b) - d_ab
         except OverflowError:  # an exact distance beyond the float range met a float one
             raise _distance_beyond_range() from None
-        if abs(gap) <= tol:
+        if abs(gap) <= tolerance(gap):
             seen.append(w)
     return seen
 

@@ -424,13 +424,13 @@ def _distinct_unit_values(rng, count, min_gap):
             return vals
 
 
-def induction_family_generator(space, n_atoms, seed, window=10.0):
+def induction_family_generator(space, n_atoms, seed):
     """Endless stream of seeded random measures with pairwise-distinct t's.
 
     On a product space the atoms get random base points in the sampling
-    window; on an interval space the atoms are the t's themselves. Fiber
-    coordinates keep a minimum gap so downstream strict-inequality probes
-    are numerically meaningful.
+    window ``sampling.DEFAULT_WINDOW``; on an interval space the atoms are
+    the t's themselves. Fiber coordinates keep a minimum gap so downstream
+    strict-inequality probes are numerically meaningful.
     """
     if n_atoms < 1:
         raise DomainError("n_atoms must be positive")
@@ -445,7 +445,7 @@ def induction_family_generator(space, n_atoms, seed, window=10.0):
         atoms = []
         for t, m in zip(ts, masses):
             if isinstance(space, Product):
-                point = ProductPoint(t, random_point(rng, space.base, window=window))
+                point = ProductPoint(t, random_point(rng, space.base))
             else:
                 point = IntervalPoint(t)
             atoms.append((point, m))

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW = 10.0
+_DENOMINATOR = 32  # exact-mode coordinates are multiples of 1/_DENOMINATOR
 
 
 def make_rng(seed):
@@ -98,27 +99,27 @@ def _window_bounds(window):
     return lo, hi
 
 
-def random_point(rng, space, exact=False, window=DEFAULT_WINDOW, denominator=32):
-    """One random point of ``space``; exact mode uses bounded-denominator rationals."""
+def random_point(rng, space, exact=False, window=DEFAULT_WINDOW):
+    """One random point of ``space``; exact-mode coordinates are multiples of 1/32."""
     if isinstance(space, Interval):
-        return IntervalPoint(_scalar(rng, exact, (0, 1), denominator))
+        return IntervalPoint(_scalar(rng, exact, (0, 1), _DENOMINATOR))
     if isinstance(space, Euclidean):
         lo, hi = _window_bounds(window)
         if exact:
-            coords = tuple(_scalar(rng, True, (lo, hi), denominator) for _ in range(space.dim))
+            coords = tuple(_scalar(rng, True, (lo, hi), _DENOMINATOR) for _ in range(space.dim))
         else:
             coords = tuple(float(c) for c in rng.uniform(lo, hi, space.dim))
         return EuclideanPoint(coords)
     if isinstance(space, Finite):
         return FinitePoint(int(rng.integers(0, space.size)))
     if isinstance(space, Product):
-        t = random_point(rng, Interval(1), exact=exact, denominator=denominator).t
-        x = random_point(rng, space.base, exact=exact, window=window, denominator=denominator)
+        t = random_point(rng, Interval(1), exact=exact).t
+        x = random_point(rng, space.base, exact=exact, window=window)
         return ProductPoint(t, x)
     raise DomainError(f"unsupported space {space!r}")
 
 
-def _draw_points(rng, space, count, clashes, limit, failure, exact, window, denominator=32):
+def _draw_points(rng, space, count, clashes, limit, failure, exact, window):
     """Draw from :func:`random_point` until ``count`` points are kept.
 
     A draw is dropped when ``clashes(point, kept)``; needing more than
@@ -130,7 +131,7 @@ def _draw_points(rng, space, count, clashes, limit, failure, exact, window, deno
         attempts += 1
         if attempts > limit:
             raise DomainError(failure)
-        p = random_point(rng, space, exact=exact, window=window, denominator=denominator)
+        p = random_point(rng, space, exact=exact, window=window)
         if not clashes(p, points):
             points.append(p)
     return points
@@ -142,7 +143,6 @@ def random_measure(
     n_atoms,
     exact=False,
     window=DEFAULT_WINDOW,
-    denominator=32,
     mass_denominator=64,
     distinct_fibers=False,
 ):
@@ -164,7 +164,7 @@ def random_measure(
 
     points = _draw_points(
         rng, space, n_atoms, clashes, 200 * n_atoms,
-        "could not sample enough distinct points", exact, window, denominator,
+        "could not sample enough distinct points", exact, window,
     )
     masses = random_masses(rng, n_atoms, exact=exact, denominator=mass_denominator)
     return DiscreteMeasure(space, tuple(zip(points, masses)))
@@ -203,13 +203,14 @@ def random_coupling(rng, mu, nu):
     return Coupling(mu.space, mu.support, nu.support, tuple(tuple(r) for r in weights))
 
 
-def random_finite_space(rng, size, exact=False, span=6):
-    """Random finite metric space from city-block distances on a grid.
+def random_finite_space(rng, size, exact=False):
+    """Random finite metric space from city-block distances on the grid {0, ..., 6}^2.
 
     Distinct integer grid points guarantee symmetry, positivity, and the
     triangle inequality with no tolerance games; float mode just casts the
     same integers.
     """
+    span = 6
     if size < 1:
         raise DomainError("need at least one point")
     if size > (span + 1) ** 2:

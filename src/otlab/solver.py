@@ -750,13 +750,13 @@ class MonotonicityReport:
     cycles_checked: int
 
 
-def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_000_000):
+def check_cyclical_monotonicity(pi, p=1, max_cycle=3, budget=2_000_000):
     """Search support cycles whose cyclic reassignment strictly lowers cost.
 
     Examines every cycle of length 2..max_cycle over the plan's positive
-    cells; a strict improvement beyond ``tol``, or any strict improvement
-    when the cycle's cost is exact, is returned as a witness (the offending
-    cells in order). The combinatorial size is guarded:
+    cells; a strict improvement beyond ``DEFAULT_TOL`` (1e-9), or any strict
+    improvement when the cycle's cost is exact, is returned as a witness (the
+    offending cells in order). The combinatorial size is guarded:
     cells**max_cycle beyond ``budget`` raises instead of running forever.
     """
     if max_cycle < 2:
@@ -778,7 +778,7 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, tol=DEFAULT_TOL, budget=2_
             for idx in subset:
                 j, k, _ = cells[idx]
                 base = base + cost[j][k]
-            bound = base - tolerance(base, tol)
+            bound = base - tolerance(base)
             first = subset[0]
             for rest in itertools.permutations(subset[1:]):
                 order = (first,) + rest
@@ -860,5 +860,5 @@ def result_record(result):
     }
 
 
-def result_to_json(result, indent=2):
-    return json.dumps(result_record(result), indent=indent)
+def result_to_json(result):
+    return json.dumps(result_record(result), indent=2)
