@@ -207,13 +207,45 @@ def parse_config(path):
     return entries
 
 
+# settings a subcommand would read and then drop, refused instead: the keys,
+# each with the one value refused (None: any value), and why
+_UNREAD = {
+    "verify": ({"space": "interval"}, "a suite runs on its own space unless the space is a product"),
+    "scenario": (
+        dict.fromkeys(("space", "alpha", "q", "base", "dim", "window")),
+        "a scenario runs on its packaged space",
+    ),
+}
+
+
+def _settings(args):
+    """A run's settings as text, CLI flags over config-file entries, and the keys the flags gave."""
+    entries = parse_config(args.config) if args.config else {}
+    flags = {key for key in _OPTIONS if getattr(args, key, None) is not None}
+    entries.update((key, getattr(args, key)) for key in flags)
+    return entries, flags
+
+
+def _refuse_unread(command, entries, flags):
+    """A DomainError naming the first setting, in --help order, that ``command`` would drop.
+
+    A flag is named as one, and so is a config entry that no flag overrides.
+    """
+    keys, why = _UNREAD.get(command, ({}, None))
+    for key, refused in keys.items():
+        text = entries.get(key)
+        if text is not None and refused in (None, text):
+            setting = f"--{key} {text}" if key in flags else f"config entry '{key} = {text}'"
+            raise DomainError(f"{command} does not read {setting}: {why}")
+
+
 def build_config(args):
     """Merge CLI flags over config-file entries over defaults."""
-    entries = parse_config(args.config) if args.config else {}
-    for key in _OPTIONS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            entries[key] = flag
+    return _run_config(_settings(args)[0])
+
+
+def _run_config(entries):
+    """The RunConfig of merged settings: each read by its reader, the rest left at the defaults."""
     exact = entries.get("mode") == "rational"
     values = {}
     for key, (field, read, _) in _OPTIONS.items():
@@ -407,7 +439,9 @@ def entry(argv=None):
             return EXIT_PASS
         return EXIT_USAGE
     try:
-        cfg = build_config(args)
+        entries, flags = _settings(args)
+        cfg = _run_config(entries)
+        _refuse_unread(args.command, entries, flags)
         if args.command == "dist":
             return cmd_dist(cfg, args.mu_file, args.nu_file)
         if args.command == "transform":

@@ -1,28 +1,33 @@
 """Discrete optimal transport via the transportation simplex.
 
 Costs are handled as powered distances d**p throughout; the 1/p root is
-applied only when reporting ``cost``. The simplex starts from the
-northwest-corner plan, with a hard pivot budget (never a silent
-approximation). The entering cell comes from block-search pricing (Bonneel,
-van de Panne, Paris & Heidrich 2011): the scan resumes where the last one
-stopped, wraps round the m*n cells, and takes the most negative reduced cost
-in the first block of max(isqrt(m*n), 10) cells that has one. Cunningham's
-(1976) leaving rule keeps a strongly feasible tree strongly feasible, which
-rules out cycling on degenerate pivots. That covers every start from exact
-masses; on float masses whose totals differ by dust the northwest start may
-not be strongly feasible (``_northwest_corner``), and then only the pivot
-budget guards against cycling. The spanning-tree basis is kept in arrays
-indexed by node, rows 0..m-1 and columns m..m+n-1, rooted at row 0: each
-node's parent, depth and neighbours, and the flow of the basic cell that
-links it to its parent; pricing reads a cell's tree membership from these
-links. The northwest staircase is a path from row 0, built in one pass. A
-pivot walks up from both ends of the entering cell to the apex of its cycle,
-reading the flows by node and picking the leaving cell on the way, turns
-round the parent links from the entering cell's end up to the node the
-leaving cell cuts off, each flow moving to its link's new child, and
-recomputes depths and potentials only on the subtree it re-hangs. A solve
-that makes no pivot returns the northwest dict as the walk filled it; after
-a pivot the flows are read back from the nodes. Exact
+applied only when reporting ``cost``. The kernel is one pivot loop
+(``_simplex_from``) run from a start, a flows dict over a spanning tree that
+``_hang`` hangs from row 0, with a hard pivot budget (never a silent
+approximation). An exact solve starts from the northwest corner
+(``_transport_simplex``); it keeps that start, so its pivots, plan and
+potentials do not move. A float solve starts from a least-cost spanning tree
+(``_least_cost_tree``); on the paper's product at m = n = 40 that halves the
+pivots. The entering cell comes from block-search pricing (Bonneel, van de
+Panne, Paris & Heidrich 2011): the scan resumes where the last one stopped,
+wraps round the m*n cells, and takes the most negative reduced cost in the
+first block of max(isqrt(m*n), 10) cells that has one. Cunningham's (1976)
+leaving rule keeps a strongly feasible tree strongly feasible, which rules
+out cycling on degenerate pivots. Both starts are strongly feasible: the
+northwest staircase on exact masses, the least-cost tree on any masses,
+float dust included. Only ``_northwest_corner`` on float masses whose totals
+differ by dust may not be (its docstring); no solve starts from that, and
+``sampling.random_coupling`` takes it as a plan only. The spanning-tree
+basis is kept in arrays indexed by node, rows 0..m-1 and columns m..m+n-1,
+rooted at row 0: each node's parent, depth and neighbours, and the flow of
+the basic cell that links it to its parent; pricing reads a cell's tree
+membership from these links. A pivot walks up from both ends of the entering
+cell to the apex of its cycle, reading the flows by node and picking the
+leaving cell on the way, turns round the parent links from the entering
+cell's end up to the node the leaving cell cuts off, each flow moving to its
+link's new child, and recomputes depths and potentials only on the subtree
+it re-hangs. A solve that makes no pivot returns the start's dict as its
+set-up made it; after a pivot the flows are read back from the nodes. Exact
 inputs (int/Fraction masses and costs) are recognized automatically: masses
 are scaled by the lcm of their denominators, and the space builds the costs
 in integer units straight from the coordinates, so the pivots and the
@@ -35,9 +40,9 @@ and the result are built by ``_frozen`` in one update of each new
 instance's dict, as ``__init__`` would leave it.
 
 The optimal cost is unique, so exact ``powered_cost``, ``cost`` and
-``certified`` do not depend on the pivot rule. The pivot count does, and so
-do the plan and the potentials when several are optimal, and float values
-in their last digits.
+``certified`` do not depend on the start or the pivot rule. The pivot count
+does, and so do the plan and the potentials when several are optimal, and
+float values in their last digits.
 """
 
 from __future__ import annotations
@@ -242,20 +247,89 @@ def _fill_flows(flows, parent, flow, m):
     return flows
 
 
-def _transport_simplex(a, b, cost, m, n, scale, budget):
-    """Core simplex. Returns (flows dict over the basis, pivot count, u, v, tree adjacency).
+def _least_cost_tree(a, b, cost, m, n):
+    """Least-cost (matrix-minimum) start: a flows dict over a spanning tree, strongly feasible.
 
-    ``scale`` is None for float inputs. For integer units it is the number of
-    flow-times-cost units in one unit of real cost, used to report a stall.
+    The cells are taken in ascending cost, ties in row-major order, and each
+    cell whose row and column both have mass left ships the smaller of the
+    two, which spends its row or its column (both on a tie). Every such cell
+    carries positive flow and the cells form a forest. A line that no cell
+    reached (float dust only: the other side ran out first) ships what it has
+    over its cheapest cell to the lines that were. Each tree not holding row
+    0 then hangs from row 0's tree by one zero-flow cell, from its first row
+    to that row's cheapest column in row 0's tree. Rooted at row 0, that row
+    is the cell's child, so every basic cell whose column end is the child
+    carries positive flow: the start is strongly feasible, dust or not.
 
-    Tree nodes are rows 0..m-1 and columns m..m+n-1, rooted at row 0. Each
-    node other than the root holds its parent, its depth and the flow of the
-    basic cell that links it to its parent. A node's potential is the cost of
-    that cell minus its parent's potential, the same operations along the
-    same unique path from row 0 however the tree was reached, so float
-    potentials are bit-identical to a full re-solve. The flows dict comes
-    back in the order the cells joined the basis: the northwest cells, then
-    the entering cells in pivot order, less those that left.
+    The dict holds the forest in the order its cells were taken, then the
+    dust cells, then the joining cells.
+    """
+    flat = [c for row in cost for c in row]
+    rem_a = list(a)
+    rem_b = list(b)
+    rows_left, cols_left = m, n
+    flows = {}
+    for k in sorted(range(m * n), key=flat.__getitem__):
+        i, j = divmod(k, n)
+        x = rem_a[i]
+        y = rem_b[j]
+        if x and y:
+            take = x if x <= y else y
+            flows[(i, j)] = take
+            rem_a[i] = x = x - take
+            rem_b[j] = y = y - take
+            if not x:
+                rows_left -= 1
+            if not y:
+                cols_left -= 1
+            if not (rows_left and cols_left):
+                break
+    if len(flows) == m + n - 1:  # a forest of m + n - 1 cells on m + n nodes is one tree
+        return flows
+    adj = [[] for _ in range(m + n)]
+    for i, j in flows:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    # once every row (or column) is spent, a line of the other side that no
+    # cell reached holds only dust; rows and columns cannot both be left out
+    for i in range(m):
+        if not adj[i]:
+            j = min((j for j in range(n) if adj[m + j]), key=cost[i].__getitem__)
+            flows[(i, j)] = rem_a[i]
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+    for j in range(n):
+        if not adj[m + j]:
+            i = min((i for i in range(m) if adj[i]), key=lambda i: cost[i][j])
+            flows[(i, j)] = rem_b[j]
+            adj[i].append(m + j)
+            adj[m + j].append(i)
+    seen = [False] * (m + n)
+    tree_cols = []
+    for top in range(m):
+        if seen[top]:
+            continue
+        if top:
+            j = min(tree_cols, key=cost[top].__getitem__)
+            flows[(top, j)] = 0 * a[top]
+        seen[top] = True
+        stack = [top]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if not seen[nb]:
+                    seen[nb] = True
+                    stack.append(nb)
+                    if nb >= m:
+                        tree_cols.append(nb - m)
+    return flows
+
+
+def _hang(flows, cost, m, n):
+    """The tree of any spanning-tree flows dict: (parent, depth, flow, adj, u, v), hung from row 0.
+
+    A walk from row 0 gives each node its parent, its depth, the flow of the
+    cell to its parent, and its potential: that cell's cost minus the
+    parent's potential.
     """
     nodes = m + n
     parent = [-1] * nodes
@@ -264,29 +338,62 @@ def _transport_simplex(a, b, cost, m, n, scale, budget):
     adj = [[] for _ in range(nodes)]
     u = [0] * m
     v = [0] * n
-    # The basic cells in the returned dict's order. The flows live on the
-    # nodes; the dict keeps the northwest walk's until a pivot moves one, and
-    # is then filled in from the nodes at the end.
-    flows = _northwest_corner(a, b, m, n)
-    # The northwest staircase is a path from row 0: each cell after the first
-    # moves the row or the column by one, and that row or column is the new
-    # node, one deeper than the last.
-    last = 0
-    for node_depth, ((i, j), f) in enumerate(flows.items(), 1):
-        if i == last:
-            node = m + j
-            parent[node] = i
-            v[j] = cost[i][j] - u[i]
-        else:
-            node = i
-            parent[i] = m + j
-            u[i] = cost[i][j] - v[j]
-        depth[node] = node_depth
-        flow[node] = f
+    for i, j in flows:
         adj[i].append(m + j)
         adj[m + j].append(i)
-        last = i
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        up = parent[node]
+        below = depth[node] + 1
+        if node < m:
+            row = cost[node]
+            ui = u[node]
+            for c in adj[node]:
+                if c != up:
+                    parent[c] = node
+                    depth[c] = below
+                    flow[c] = flows[(node, c - m)]
+                    v[c - m] = row[c - m] - ui
+                    stack.append(c)
+        else:
+            k = node - m
+            vk = v[k]
+            for r in adj[node]:
+                if r != up:
+                    parent[r] = node
+                    depth[r] = below
+                    flow[r] = flows[(r, k)]
+                    u[r] = cost[r][k] - vk
+                    stack.append(r)
+    return parent, depth, flow, adj, u, v
 
+
+def _transport_simplex(a, b, cost, m, n, scale, budget):
+    """Core simplex from the northwest corner: ``_simplex_from`` on ``_northwest_corner``."""
+    return _simplex_from(_northwest_corner(a, b, m, n), cost, m, n, scale, budget)
+
+
+def _simplex_from(flows, cost, m, n, scale, budget):
+    """Core simplex from a start. Returns (flows dict over the basis, pivots, u, v, tree adjacency).
+
+    ``flows`` is the start, a dict over the cells of a spanning tree, hung
+    from row 0 by ``_hang``; one pivot loop then runs from it. ``scale`` is
+    None for float inputs. For integer units it is the number of
+    flow-times-cost units in one unit of real cost, used to report a stall.
+
+    Tree nodes are rows 0..m-1 and columns m..m+n-1, rooted at row 0. Each
+    node other than the root holds its parent, its depth and the flow of the
+    basic cell that links it to its parent. A node's potential is the cost of
+    that cell minus its parent's potential, the same operations along the
+    same unique path from row 0 however the tree was reached, so float
+    potentials are bit-identical to a full re-solve. The flows dict comes
+    back in the order the cells joined the basis: the start's cells, then
+    the entering cells in pivot order, less those that left. The flows live
+    on the nodes; the dict keeps the start's until a pivot moves one, and is
+    then filled in from the nodes at the end.
+    """
+    parent, depth, flow, adj, u, v = _hang(flows, cost, m, n)
     threshold = -_ENTERING_EPS if scale is None else 0
     cells = m * n
     block = max(math.isqrt(cells), 10)
@@ -506,8 +613,14 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     """Optimal transport between two measures on one space, cost d**p.
 
     Both arithmetics take one path: build the problem, run the
-    transportation simplex (northwest-corner start, block-search pricing on
-    strongly feasible trees), cost the flows, certify, and write the plan.
+    transportation simplex (block-search pricing on strongly feasible
+    trees), cost the flows, certify, and write the plan. Only the start
+    differs. An exact solve starts from the northwest corner, which keeps its
+    pivots, plan and potentials as they were. A float solve starts from the
+    least-cost tree (``_least_cost_tree``): cells in ascending cost, each
+    spending its row or its column, then one zero-flow cell from a row of
+    each other tree to row 0's tree, so that the row end is the child and the
+    start is strongly feasible even where float dust leaves a line unspent.
     With int/Fraction masses and every cost d**p exact, the problem is in
     integer units: the masses' units cached on each measure and the space's
     ``_unit_costs``. The certificate then allows ``tolerance(powered, tol)``,
@@ -520,7 +633,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     :class:`SolverStallError` rather than returning an approximation. The
     result's ``arithmetic`` says which arithmetic the solve ran in. Where
     several plans are optimal, which one comes back (and its potentials) is
-    up to the pivot rule; the cost is not.
+    up to the start and the pivot rule; the cost is not.
     """
     _require_same_space(mu, nu)
     _check_cost_exponent(p)
@@ -541,7 +654,8 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         a, b, L = _joint_units(mass_a, mass_b)
         scale = L * Lc
     budget = 10 * m * n if pivot_budget is None else pivot_budget
-    flows, pivots, u, v, adj = _transport_simplex(a, b, cost, m, n, scale, budget)
+    start = _northwest_corner(a, b, m, n) if scale is not None else _least_cost_tree(a, b, cost, m, n)
+    flows, pivots, u, v, adj = _simplex_from(start, cost, m, n, scale, budget)
     powered = _flow_cost(flows, cost)
     certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol))
     # the nonzero cells, row-major: integer flows become Fractions, float ones stay as they are

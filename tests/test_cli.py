@@ -80,20 +80,20 @@ PINNED_STDOUT = {
     "float": (
         "space = product:alpha=1:q=1:interval:alpha=1\n"
         "order = 1\n"
-        "powered_cost = 0.3627777777777778\n"
-        "distance = 0.3627777777777778\n"
+        "powered_cost = 0.36277777777777775\n"
+        "distance = 0.36277777777777775\n"
         "certified = True\n"
-        "pivots = 5\n"
+        "pivots = 3\n"
         "coupling:\n"
         "  0.1 : (0, 0) -> (0.25, 0)\n"
-        "  0.06666666666666665 : (0, 0) -> (0.5, 0.25)\n"
+        "  0.06666666666666665 : (0, 0) -> (1, 0)\n"
         "  0.2 : (0.2, 0.5) -> (0, 1)\n"
-        "  0.03333333333333331 : (0.2, 0.5) -> (0.5, 0.25)\n"
+        "  0.0333333333333333 : (0.2, 0.5) -> (0.5, 0.25)\n"
         "  0.016666666666666677 : (0.2, 0.5) -> (0.6, 0.9)\n"
         "  0.08333333333333333 : (0.3333333333333333, 1) -> (0.6, 0.9)\n"
         "  0.16666666666666666 : (0.5, 0.25) -> (0.5, 0.25)\n"
-        "  0.03333333333333337 : (0.75, 0.3) -> (0.5, 0.25)\n"
-        "  0.1 : (0.75, 0.3) -> (1, 0)\n"
+        "  0.10000000000000003 : (0.75, 0.3) -> (0.5, 0.25)\n"
+        "  0.033333333333333326 : (0.75, 0.3) -> (1, 0)\n"
         "  0.0333333333333333 : (0.75, 0.3) -> (1, 0.6666666666666666)\n"
         "  0.16666666666666666 : (1, 0.6666666666666666) -> (1, 0.6666666666666666)\n"
         "potentials:\n"
@@ -101,7 +101,7 @@ PINNED_STDOUT = {
         "  u (0.2, 0.5) = -0.19999999999999996\n"
         "  u (0.3333333333333333, 1) = -0.6333333333333333\n"
         "  u (0.5, 0.25) = -0.75\n"
-        "  u (0.75, 0.3) = -0.45\n"
+        "  u (0.75, 0.3) = -0.44999999999999996\n"
         "  u (1, 0.6666666666666666) = -1.0666666666666667\n"
         "  v (0, 1) = 0.8999999999999999\n"
         "  v (0.25, 0) = 0.25\n"

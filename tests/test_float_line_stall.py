@@ -1,13 +1,13 @@
 """A known fault, pinned: small float line problems at window 1e5 exhaust the pivot budget.
 
-On ``Euclidean(1)`` a measure sorts its atoms, so the northwest plan of two
-measures is the monotone one, which is optimal at p = 1. At window 1e5 the
-costs reach about 1.8e5, and off-tree reduced costs that are 0 in exact
-arithmetic come out of the float potentials as low as -1.46e-11 (2**-36,
-one unit in the last place of such a cost). That is below the entering
-threshold ``-_ENTERING_EPS`` (-1e-12), so the kernel pivots on rounding
-noise until its budget of 10 * m * n = 360 pivots runs out. At a
-threshold of 1e-9 both pairs below solve in 0 pivots and are certified. The
+On ``Euclidean(1)`` a measure sorts its atoms, and the monotone plan of two
+measures is optimal at p = 1. At window 1e5 the costs reach about 1.8e5,
+and once the kernel reaches an optimal plan, off-tree reduced costs that
+are 0 in exact arithmetic come out of the float potentials as low as
+-2**-35 (about a unit in the last place of such a cost). That is below the
+entering threshold ``-_ENTERING_EPS`` (-1e-12), so the kernel pivots on
+rounding noise until its budget of 10 * m * n = 360 pivots runs out. At a
+threshold of 1e-9 both pairs below are certified, after 5 and 2 pivots. The
 fix that holds at every scale is a scale-free certificate (ROADMAP), not a
 larger threshold; when it lands, these tests pass and ``strict`` flags them.
 """

@@ -5,7 +5,9 @@ the cycle gathered as lists of cells, the leaving cell picked after the walk,
 and every potential below the re-hung node reset from an adjacency walk. Its
 pricing and leaving rules are the kernel's, so the two must pivot alike: the
 same flows in the same dict order, the same pivot count, potentials of the
-same types and bits, the same tree, and the same stall.
+same types and bits, the same tree, and the same stall. Both start from the
+northwest corner, or both from the least-cost tree that float solves start
+from.
 
 The certificate's refusals are checked here too, on a solved kernel problem
 with one cost perturbed.
@@ -28,7 +30,15 @@ from otlab import (
     random_measure,
 )
 from otlab.campaign import five_point_tree_space
-from otlab.solver import _certify, _flow_cost, _joint_units, _northwest_corner, _transport_simplex
+from otlab.solver import (
+    _certify,
+    _flow_cost,
+    _joint_units,
+    _least_cost_tree,
+    _northwest_corner,
+    _simplex_from,
+    _transport_simplex,
+)
 
 from test_solver import tied_pair
 
@@ -51,8 +61,8 @@ def _reference_hang(top, adj, parent, depth, u, v, cost, m):
             stack.append(nb)
 
 
-def _reference_simplex(a, b, cost, m, n, scale, budget):
-    flows = _northwest_corner(a, b, m, n)
+def _reference_simplex(a, b, cost, m, n, scale, budget, start=None):
+    flows = _northwest_corner(a, b, m, n) if start is None else start
     basic = [[False] * n for _ in range(m)]
     adj = [[] for _ in range(m + n)]
     for i, j in flows:
@@ -188,17 +198,34 @@ def _kernel_args(mu, nu, p, exact):
     return a, b, cost, m, n, None, 10 * m * n
 
 
-def _assert_pivots_alike(args):
-    """Same outcome as the reference, also when stopped after 0, 1 and pivots - 1 pivots."""
-    want = _outcome(_reference_simplex, args)
-    assert _outcome(_transport_simplex, args) == want
+def _reference_from_least_cost(a, b, cost, m, n, scale, budget):
+    return _reference_simplex(a, b, cost, m, n, scale, budget, start=_least_cost_tree(a, b, cost, m, n))
+
+
+def _kernel_from_least_cost(a, b, cost, m, n, scale, budget):
+    return _simplex_from(_least_cost_tree(a, b, cost, m, n), cost, m, n, scale, budget)
+
+
+def _assert_pivots_alike(args, least_cost=False):
+    """Same outcome as the reference, also when stopped after 0, 1 and pivots - 1 pivots.
+
+    Both start from the northwest corner, or with ``least_cost`` from the
+    least-cost tree.
+    """
+    reference, kernel = (
+        (_reference_from_least_cost, _kernel_from_least_cost)
+        if least_cost
+        else (_reference_simplex, _transport_simplex)
+    )
+    want = _outcome(reference, args)
+    assert _outcome(kernel, args) == want
     pivots = want[1]
     for budget in sorted({0, 1, pivots - 1}):
         if 0 <= budget < pivots:
             cut_short = args[:-1] + (budget,)
-            stall = _outcome(_reference_simplex, cut_short)
+            stall = _outcome(reference, cut_short)
             assert stall[:2] == ("stall", budget)
-            assert _outcome(_transport_simplex, cut_short) == stall
+            assert _outcome(kernel, cut_short) == stall
     return pivots
 
 
@@ -268,6 +295,44 @@ def test_kernel_pivots_like_the_reference_at_the_benchmark_sizes():
             mu, nu = (random_measure(rng, space, 12, window=window) for _ in range(2))
             pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 2, False)))
     assert min(pivots[:4]) > 40 and sum(pivots[4:44]) > 0
+
+
+def test_kernel_pivots_like_the_reference_from_the_least_cost_tree():
+    # the float solves' start: 40 x 40 plane pairs at window 10, as the
+    # benchmark times them, and 12-atom pairs far from unit scale
+    rng = make_rng(173)
+    plane = Product(0.5, 2, Euclidean(2))
+    pivots = []
+    for _ in range(2):
+        mu, nu = (random_measure(rng, plane, 40, window=10) for _ in range(2))
+        pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 2, False), least_cost=True))
+    for space, window in ((Euclidean(2), 1e-7), (plane, 1e5)):
+        for _ in range(3):
+            mu, nu = (random_measure(rng, space, 12, window=window) for _ in range(2))
+            pivots.append(_assert_pivots_alike(_kernel_args(mu, nu, 2, False), least_cost=True))
+    assert min(pivots[:2]) > 40
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(_SEEDED) if not _SEEDED[name][2]])
+def test_kernel_pivots_like_the_reference_from_the_least_cost_tree_on_seeded_pairs(name):
+    space, p, _ = _SEEDED[name]
+    rng = make_rng((179, sorted(_SEEDED).index(name)))
+    total = 0
+    for m, n in _SHAPES:
+        for _ in range(3):
+            mu = random_measure(rng, space, m)
+            nu = random_measure(rng, space, n)
+            total += _assert_pivots_alike(_kernel_args(mu, nu, p, False), least_cost=True)
+    assert total > 0
+
+
+@pytest.mark.parametrize("kind", ("all-ones", "interval-grid", "city-block-grid"))
+def test_kernel_pivots_like_the_reference_from_the_least_cost_tree_through_ties(kind):
+    # equal float masses: placements spend a row and a column at once, so
+    # the start joins its trees with zero-flow cells
+    for k in (2, 5, 8, 13, 21):
+        mu, nu = tied_pair(kind, k)
+        _assert_pivots_alike(_kernel_args(mu, nu, 1, False), least_cost=True)
 
 
 def test_kernel_pivots_like_the_reference_where_the_last_block_is_cut_short():

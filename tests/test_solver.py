@@ -262,14 +262,23 @@ def test_result_record_round_trips_through_json(unit_interval):
 
 def test_stall_reports_the_starting_plan_cost_in_real_units():
     line = Finite(((0, 10, 11, 1), (10, 0, 1, 9), (11, 1, 0, 10), (1, 9, 10, 0)))
-    for half in (Fraction(1, 2), 0.5):
-        mu = DiscreteMeasure(line, ((FinitePoint(0), half), (FinitePoint(1), half)))
-        nu = DiscreteMeasure(line, ((FinitePoint(2), half), (FinitePoint(3), half)))
-        northwest = Coupling(line, mu.support, nu.support, ((half, 0), (0, half)))
+    # a square whose least-cost cells, 0 -> 2 and 1 -> 3, are not the optimal plan
+    square = Finite(((0, 3, 1, 2), (3, 0, 2, 4), (1, 2, 0, 2), (2, 4, 2, 0)))
+    for space, half, stalled_at in ((line, Fraction(1, 2), 10), (square, 0.5, 2.5)):
+        # an exact solve starts from the northwest corner, a float one from the
+        # least-cost tree; here both starts are the diagonal plan
+        mu = DiscreteMeasure(space, ((FinitePoint(0), half), (FinitePoint(1), half)))
+        nu = DiscreteMeasure(space, ((FinitePoint(2), half), (FinitePoint(3), half)))
+        start = Coupling(space, mu.support, nu.support, ((half, 0), (0, half)))
         with pytest.raises(SolverStallError) as info:
             solve_wasserstein(mu, nu, p=1, pivot_budget=0)
         assert info.value.pivots == 0
-        assert info.value.current_cost == coupling_cost(northwest, 1) == 10
+        assert info.value.current_cost == coupling_cost(start, 1) == stalled_at
+    # on the line the least-cost start, 0 -> 3 and 1 -> 2, is already optimal
+    mu = DiscreteMeasure(line, ((FinitePoint(0), 0.5), (FinitePoint(1), 0.5)))
+    nu = DiscreteMeasure(line, ((FinitePoint(2), 0.5), (FinitePoint(3), 0.5)))
+    result = solve_wasserstein(mu, nu, p=1, pivot_budget=0)
+    assert (result.certified, result.pivots, result.powered_cost) == (True, 0, 1.0)
 
 
 # the bench/scaling.py pairs; the counts pin the pivot rule, not just the optimum
@@ -277,7 +286,7 @@ def test_stall_reports_the_starting_plan_cost_in_real_units():
     "n, exact, pivots, powered",
     [
         (10, False, 24, None),
-        (20, False, 101, None),
+        (20, False, 29, None),
         (10, True, 25, Fraction(2753205, 65536)),
         (20, True, 100, Fraction(721681, 32768)),
     ],

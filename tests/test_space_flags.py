@@ -30,13 +30,18 @@ def verify_space_line(tmp_path, monkeypatch, *argv):
         # the parts not named take the flags' defaults, a base of dim 1 among them
         (["--base", "euclidean"], "product:alpha=0.5:q=2:euclidean:dim=1"),
         (["--alpha", "1/4"], "product:alpha=0.25:q=2:euclidean:dim=1"),
-        # an interval space is no campaign space: the suite runs its default product
-        (["--space", "interval"], DEFAULT_PRODUCT),
+        # an interval space is no campaign space: verify refuses it (None) and writes no report
+        (["--space", "interval"], None),
         ([], DEFAULT_PRODUCT),
     ],
 )
 def test_verify_reports_the_space_its_flags_name(tmp_path, monkeypatch, capsys, argv, space):
-    assert verify_space_line(tmp_path, monkeypatch, *argv) == f"space = {space}"
+    if space is None:
+        monkeypatch.chdir(tmp_path)
+        assert entry(["verify", "metric-axioms", "--trials", "1", *argv]) == EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert verify_space_line(tmp_path, monkeypatch, *argv) == f"space = {space}"
 
 
 def test_a_dim_config_key_makes_the_space_a_product(tmp_path, monkeypatch, capsys):
