@@ -207,14 +207,32 @@ def parse_config(path):
     return entries
 
 
-# settings a subcommand would read and then drop, refused instead: the keys,
-# each with the one value refused (None: any value), and why
+# settings a subcommand would read and then drop, refused instead: for each
+# command the keys, each with the one value refused (None: any value) and why
 _UNREAD = {
-    "verify": ({"space": "interval"}, "a suite runs on its own space unless the space is a product"),
-    "scenario": (
-        dict.fromkeys(("space", "alpha", "q", "base", "dim", "window")),
-        "a scenario runs on its packaged space",
-    ),
+    "dist": {
+        "seed": (None, "it draws no random measures"),
+        "trials": (None, "it runs no trials"),
+        "window": (None, "it draws no random measures"),
+        "report": (None, "it prints to stdout and writes no file"),
+        "csv": (None, "it prints to stdout and writes no file"),
+    },
+    "verify": {
+        "space": ("interval", "a suite runs on its own space unless the space is a product"),
+        "order": (None, "each suite sets its own transport order"),
+    },
+    "scenario": {
+        **dict.fromkeys(
+            ("space", "alpha", "q", "base", "dim", "window"),
+            (None, "a scenario runs on its packaged space"),
+        ),
+        "order": (None, "each suite sets its own transport order"),
+    },
+}
+# transform reads neither what dist drops nor the solve's tolerance and order
+_UNREAD["transform"] = {
+    **_UNREAD["dist"],
+    **dict.fromkeys(("tol", "order"), (None, "it solves no transport problem")),
 }
 
 
@@ -231,8 +249,11 @@ def _refuse_unread(command, entries, flags):
 
     A flag is named as one, and so is a config entry that no flag overrides.
     """
-    keys, why = _UNREAD.get(command, ({}, None))
-    for key, refused in keys.items():
+    unread = _UNREAD[command]
+    for key in _OPTIONS:
+        if key not in unread:
+            continue
+        refused, why = unread[key]
         text = entries.get(key)
         if text is not None and refused in (None, text):
             setting = f"--{key} {text}" if key in flags else f"config entry '{key} = {text}'"

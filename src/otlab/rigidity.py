@@ -196,11 +196,15 @@ def dirac_pair_mixture_candidates(form, space, step=0.05):
     """Grid family a * delta_y + b * delta_y' + (1 - a - b) * eta.
 
     Walks a and b over multiples of ``step`` with a + b <= 1, skipping
-    combinations that would need eta when the form has none (c == 1).
+    combinations that would need eta when the form has none (c == 1). The
+    step must divide 1: n * step == 1 for n = round(1 / step), within the
+    default tolerance for a float step and exactly for an exact one.
     """
     if not 0 < step <= 1:
         raise DomainError(f"grid step {step!r} outside (0, 1]")
     n = int(round(1 / step))
+    if abs(n * step - 1) > tolerance(n * step - 1):
+        raise DomainError(f"grid step {step!r} does not divide 1")
     out = []
     for i in range(n + 1):
         for j in range(n + 1 - i):

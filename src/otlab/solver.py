@@ -4,7 +4,9 @@ Costs are handled as powered distances d**p throughout; the 1/p root is
 applied only when reporting ``cost``. The kernel is one pivot loop
 (``_simplex_from``) run from a start, a flows dict over a spanning tree that
 ``_hang`` hangs from row 0, with a hard pivot budget (never a silent
-approximation). An exact solve starts from the northwest corner
+approximation). One tree walk, ``_hang_below``, hangs everything below a
+node; the set-up runs it from row 0 and every pivot from the node it
+re-hangs. An exact solve starts from the northwest corner
 (``_transport_simplex``); it keeps that start, so its pivots, plan and
 potentials do not move. A float solve starts from a least-cost spanning tree
 (``_least_cost_tree``); on the paper's product at m = n = 40 that halves the
@@ -23,11 +25,13 @@ rooted at row 0: each node's parent, depth and neighbours, and the flow of
 the basic cell that links it to its parent; pricing reads a cell's tree
 membership from these links. A pivot walks up from both ends of the entering
 cell to the apex of its cycle, reading the flows by node and picking the
-leaving cell on the way, turns round the parent links from the entering
-cell's end up to the node the leaving cell cuts off, each flow moving to its
-link's new child, and recomputes depths and potentials only on the subtree
-it re-hangs. A solve that makes no pivot returns the start's dict as its
-set-up made it; after a pivot the flows are read back from the nodes. Exact
+leaving cell on the way, moves each flow on the path from the entering
+cell's end up to the node the leaving cell cuts off to its link's new child,
+and hangs that end below the entering cell's other end: ``_hang_below`` turns
+the parent links on the path round and recomputes parents, depths and
+potentials only on the subtree it re-hangs. A solve that makes no pivot
+returns the start's dict as its set-up made it; after a pivot the flows are
+read back from the nodes. Exact
 inputs (int/Fraction masses and costs) are recognized automatically: masses
 are scaled by the lcm of their denominators, and the space builds the costs
 in integer units straight from the coordinates, so the pivots and the
@@ -324,24 +328,14 @@ def _least_cost_tree(a, b, cost, m, n):
     return flows
 
 
-def _hang(flows, cost, m, n):
-    """The tree of any spanning-tree flows dict: (parent, depth, flow, adj, u, v), hung from row 0.
+def _hang_below(top, parent, depth, adj, u, v, cost, m):
+    """Hang every node below ``top`` from top's own parent, depth and potential.
 
-    A walk from row 0 gives each node its parent, its depth, the flow of the
-    cell to its parent, and its potential: that cell's cost minus the
-    parent's potential.
+    Each node takes its parent, its depth and its potential: the cost of the
+    cell to its parent minus the parent's potential. A leaf, with no
+    neighbour but its parent, has nothing below it to visit.
     """
-    nodes = m + n
-    parent = [-1] * nodes
-    depth = [0] * nodes
-    flow = [0] * nodes
-    adj = [[] for _ in range(nodes)]
-    u = [0] * m
-    v = [0] * n
-    for i, j in flows:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
-    stack = [0]
+    stack = [top]
     while stack:
         node = stack.pop()
         up = parent[node]
@@ -353,9 +347,9 @@ def _hang(flows, cost, m, n):
                 if c != up:
                     parent[c] = node
                     depth[c] = below
-                    flow[c] = flows[(node, c - m)]
                     v[c - m] = row[c - m] - ui
-                    stack.append(c)
+                    if len(adj[c]) > 1:
+                        stack.append(c)
         else:
             k = node - m
             vk = v[k]
@@ -363,9 +357,33 @@ def _hang(flows, cost, m, n):
                 if r != up:
                     parent[r] = node
                     depth[r] = below
-                    flow[r] = flows[(r, k)]
                     u[r] = cost[r][k] - vk
-                    stack.append(r)
+                    if len(adj[r]) > 1:
+                        stack.append(r)
+
+
+def _hang(flows, cost, m, n):
+    """The tree of any spanning-tree flows dict: (parent, depth, flow, adj, u, v), hung from row 0.
+
+    ``_hang_below`` hangs every node from row 0; then each cell's flow goes
+    to its child node, the inverse of ``_fill_flows``.
+    """
+    nodes = m + n
+    parent = [-1] * nodes
+    depth = [0] * nodes
+    flow = [0] * nodes
+    adj = [[] for _ in range(nodes)]
+    u = [0] * m
+    v = [0] * n
+    for i, j in flows:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    _hang_below(0, parent, depth, adj, u, v, cost, m)
+    for (i, j), f in flows.items():
+        if parent[i] == m + j:
+            flow[i] = f
+        else:
+            flow[m + j] = f
     return parent, depth, flow, adj, u, v
 
 
@@ -378,9 +396,12 @@ def _simplex_from(flows, cost, m, n, scale, budget):
     """Core simplex from a start. Returns (flows dict over the basis, pivots, u, v, tree adjacency).
 
     ``flows`` is the start, a dict over the cells of a spanning tree, hung
-    from row 0 by ``_hang``; one pivot loop then runs from it. ``scale`` is
-    None for float inputs. For integer units it is the number of
-    flow-times-cost units in one unit of real cost, used to report a stall.
+    from row 0 by ``_hang``; one pivot loop then runs from it. A pivot moves
+    the flows along the path it turns round, then re-hangs the entering
+    cell's end with ``_hang_below``, the walk ``_hang`` set the tree up
+    with. ``scale`` is None for float inputs. For integer units it is the
+    number of flow-times-cost units in one unit of real cost, used to report
+    a stall.
 
     Tree nodes are rows 0..m-1 and columns m..m+n-1, rooted at row 0. Each
     node other than the root holds its parent, its depth and the flow of the
@@ -480,12 +501,13 @@ def _simplex_from(flows, cost, m, n, scale, budget):
                 flow[node] = flow[node] - theta
         # The leaving cell links ``cut`` to its parent. The entering cell's
         # end ``top`` lost its way to row 0 with it and hangs below ``hook``
-        # instead: the links from top up to cut turn round, each flow moving
-        # to the link's new child, and the entering flow theta goes to top.
+        # instead: along the path from top up to cut each flow moves to its
+        # link's new child, and the entering flow theta goes to top.
+        # ``_hang_below`` then turns the parent links round and sets the
+        # depths and potentials below top.
         up = parent[cut]
-        below, carried = hook, theta
+        carried = theta
         for node in path:
-            parent[node], below = below, node
             flow[node], carried = carried, flow[node]
             if node == cut:
                 break
@@ -495,37 +517,13 @@ def _simplex_from(flows, cost, m, n, scale, budget):
         adj[up].remove(cut)
         adj[ei].append(m + ej)
         adj[m + ej].append(ei)
-        # Depths and potentials below top: a row's children take
-        # row[c] - u, a column's children take cost[r][c] - v. A leaf, with
-        # no neighbour but its parent, has nothing below it to visit.
+        parent[top] = hook
+        depth[top] = depth[hook] + 1
         if top < m:
             u[ei] = cost[ei][ej] - v[ej]
         else:
             v[ej] = cost[ei][ej] - u[ei]
-        depth[top] = depth[hook] + 1
-        stack = [top]
-        while stack:
-            node = stack.pop()
-            up = parent[node]
-            below = depth[node] + 1
-            if node < m:
-                row = cost[node]
-                ui = u[node]
-                for c in adj[node]:
-                    if c != up:
-                        depth[c] = below
-                        v[c - m] = row[c - m] - ui
-                        if len(adj[c]) > 1:
-                            stack.append(c)
-            else:
-                k = node - m
-                vk = v[k]
-                for r in adj[node]:
-                    if r != up:
-                        depth[r] = below
-                        u[r] = cost[r][k] - vk
-                        if len(adj[r]) > 1:
-                            stack.append(r)
+        _hang_below(top, parent, depth, adj, u, v, cost, m)
         pivots += 1
 
 
