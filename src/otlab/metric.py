@@ -353,14 +353,17 @@ class _CostMatrix:
     def cost_matrix(self, rows, cols, p):
         """The m x n list of lists of ``powered_distance(y, z, p)``, y in rows, z in cols.
 
-        The points must already be valid points of the space and p >= 1.
-        A matrix of more than ``_PER_CELL_MAX`` cells whose coordinates (matrix
+        The points must already be valid points of the space and p >= 1. A
+        matrix of more than ``_PER_CELL_MAX`` cells whose coordinates (matrix
         entries, for a ``Finite`` space) are all floats is broadcast in numpy,
-        cell for cell bit-identical to the scalar code. Any other input, and
-        every matrix of at most ``_PER_CELL_MAX`` cells, takes the scalar code
-        cell by cell. A cell beyond the float range (``inf``) is a
-        :class:`DomainError`: no solve runs on it.
+        cell for cell bit-identical to the scalar code; any other is built
+        cell by cell by the scalar code. A cell beyond the float range
+        (``inf``) is a :class:`DomainError`: no solve runs on it.
         """
+        return self._cost_matrix_and_array(rows, cols, p)[0]
+
+    def _cost_matrix_and_array(self, rows, cols, p):
+        """``cost_matrix``, and its float64 array where it was broadcast (else None) for the float solve."""
         costs = None if len(rows) * len(cols) <= _PER_CELL_MAX else self._float_costs(rows, cols, p)
         if costs is None:
             cell = self.powered_distance
@@ -371,7 +374,7 @@ class _CostMatrix:
             matrix = costs.tolist()
         if not finite:
             raise _cost_beyond_range(p)
-        return matrix
+        return matrix, costs
 
     def _float_costs(self, rows, cols, p):
         """The cost matrix as a float64 array, or None unless every coordinate is a float."""

@@ -10,7 +10,11 @@ re-hangs. An exact solve starts from the northwest corner
 (``_transport_simplex``); it keeps that start, so its pivots, plan and
 potentials do not move. A float solve starts from a least-cost spanning tree
 (``_least_cost_tree``); on the paper's product at m = n = 40 that halves the
-pivots. The entering cell comes from block-search pricing (Bonneel, van de
+pivots. Where ``cost_matrix`` broadcast the float costs in numpy, the solve
+keeps that float64 array beside the lists: the start orders its cells with a
+stable argsort of it and the certificate scans dual feasibility on it. Both
+make the loops' comparisons on the same bits, so the results do not move.
+The entering cell comes from block-search pricing (Bonneel, van de
 Panne, Paris & Heidrich 2011): the scan resumes where the last one stopped,
 wraps round the m*n cells, and takes the most negative reduced cost in the
 first block of max(isqrt(m*n), 10) cells that has one. Cunningham's (1976)
@@ -55,6 +59,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BudgetError,
@@ -251,7 +257,7 @@ def _fill_flows(flows, parent, flow, m):
     return flows
 
 
-def _least_cost_tree(a, b, cost, m, n):
+def _least_cost_tree(a, b, cost, m, n, array=None):
     """Least-cost (matrix-minimum) start: a flows dict over a spanning tree, strongly feasible.
 
     The cells are taken in ascending cost, ties in row-major order, and each
@@ -267,14 +273,23 @@ def _least_cost_tree(a, b, cost, m, n):
 
     The dict holds the forest in the order its cells were taken, then the
     dust cells, then the joining cells.
+
+    ``array`` is the costs as the float64 array ``cost_matrix`` broadcast, or
+    None. With it the order comes from a stable ``np.argsort``, which keeps
+    ties in row-major order as ``sorted`` does (-0.0 ties with 0.0 in both),
+    and the cells' rows and columns from one vectorised ``divmod``.
     """
-    flat = [c for row in cost for c in row]
+    if array is None:
+        flat = [c for row in cost for c in row]
+        cells = map(divmod, sorted(range(m * n), key=flat.__getitem__), itertools.repeat(n))
+    else:
+        rows, cols = np.divmod(np.argsort(array, axis=None, kind="stable"), n)
+        cells = zip(rows.tolist(), cols.tolist())
     rem_a = list(a)
     rem_b = list(b)
     rows_left, cols_left = m, n
     flows = {}
-    for k in sorted(range(m * n), key=flat.__getitem__):
-        i, j = divmod(k, n)
+    for i, j in cells:
         x = rem_a[i]
         y = rem_b[j]
         if x and y:
@@ -552,8 +567,14 @@ class TransportResult:
     arithmetic: str
 
 
-def _certify(a, b, cost, flows, u, v, m, n, primal, tol):
-    """Whether u, v prove the flows of cost ``primal`` optimal, each check within ``tol``."""
+def _certify(a, b, cost, flows, u, v, m, n, primal, tol, array=None):
+    """Whether u, v prove the flows of cost ``primal`` optimal, each check within ``tol``.
+
+    Complementary slackness is checked on the basic cells and the duality
+    gap is folded in a loop. Dual feasibility covers every cell: in a loop,
+    or, given the float64 ``array`` of the costs, in numpy as
+    ``(array - u) - v``, the loop's operations in its order on the same bits.
+    """
     gap_total = 0
     for i in range(m):
         gap_total = gap_total + a[i] * u[i]
@@ -562,11 +583,18 @@ def _certify(a, b, cost, flows, u, v, m, n, primal, tol):
     for (i, j), f in flows.items():
         if f > tol and abs(cost[i][j] - u[i] - v[j]) > tol:
             return False
-    for i in range(m):
-        ui = u[i]
-        row = cost[i]
-        for j in range(n):
-            if row[j] - ui - v[j] < -tol:
+    if array is None:
+        for i in range(m):
+            ui = u[i]
+            row = cost[i]
+            for j in range(n):
+                if row[j] - ui - v[j] < -tol:
+                    return False
+    else:
+        # the loop's (c - u) - v, cell for cell; a difference beyond the float
+        # range is inf there too
+        with np.errstate(over="ignore", invalid="ignore"):
+            if ((array - np.array(u)[:, None]) - np.array(v) < -tol).any():
                 return False
     return abs(gap_total - primal) <= tol
 
@@ -626,7 +654,8 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     once, and each potential is the int or the Fraction that Fraction
     arithmetic along its tree path would give it (``_int_nodes``, a walk
     that a space whose exact costs are all ints skips). Any other
-    input takes the space's ``cost_matrix`` and is certified within ``tol``.
+    input takes the space's ``cost_matrix``, with its float64 array where it
+    was broadcast, and is certified within ``tol``.
     The pivot budget defaults to 10 * m * n; exhausting it raises
     :class:`SolverStallError` rather than returning an approximation. The
     result's ``arithmetic`` says which arithmetic the solve ran in. Where
@@ -643,8 +672,10 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     mass_b = nu._mass_units
     # the measures validated their points and p is checked above
     units = None if mass_a is None or mass_b is None else space._unit_costs(rows, cols, p)
+    array = None
     if units is None:
-        a, b, cost, L, scale = mu.masses, nu.masses, space.cost_matrix(rows, cols, p), None, None
+        a, b, L, scale = mu.masses, nu.masses, None, None
+        cost, array = space._cost_matrix_and_array(rows, cols, p)
     else:
         # pivot and certify on integers: masses times L and costs times Lc,
         # so flow-times-cost sums are in units of 1 / (L * Lc)
@@ -652,10 +683,10 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         a, b, L = _joint_units(mass_a, mass_b)
         scale = L * Lc
     budget = 10 * m * n if pivot_budget is None else pivot_budget
-    start = _northwest_corner(a, b, m, n) if scale is not None else _least_cost_tree(a, b, cost, m, n)
+    start = _northwest_corner(a, b, m, n) if scale is not None else _least_cost_tree(a, b, cost, m, n, array)
     flows, pivots, u, v, adj = _simplex_from(start, cost, m, n, scale, budget)
     powered = _flow_cost(flows, cost)
-    certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol))
+    certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol), array)
     # the nonzero cells, row-major: integer flows become Fractions, float ones stay as they are
     weights = [0] * (m * n)
     for (i, j), f in flows.items():
@@ -820,12 +851,20 @@ def kr_dual(mu, nu, independent=False):
     mu_masses = mu.as_dict()
     nu_masses = nu.as_dict()
 
-    import numpy as np
     from scipy.optimize import linprog
 
     w = np.array(
         [float(nu_masses.get(z, 0)) - float(mu_masses.get(z, 0)) for z in points]
     )
+    # d(y, z) and d(z, y) are bit-equal on every space kind, so each unordered
+    # pair is costed once and bounds both f(y) - f(z) and f(z) - f(y)
+    dist = [[0.0] * N for _ in range(N)]
+    for i in range(N):
+        for j in range(i + 1, N):
+            d = space.distance(points[i], points[j])
+            if not d <= _MAX_FLOAT:  # inf, or an exact distance too large for a float
+                raise _distance_beyond_range()
+            dist[i][j] = dist[j][i] = float(d)
     rows_A = []
     rhs = []
     for i in range(N):
@@ -836,10 +875,7 @@ def kr_dual(mu, nu, independent=False):
             constraint[i] = 1.0
             constraint[j] = -1.0
             rows_A.append(constraint)
-            d = space.distance(points[i], points[j])
-            if not d <= _MAX_FLOAT:  # inf, or an exact distance too large for a float
-                raise _distance_beyond_range()
-            rhs.append(float(d))
+            rhs.append(dist[i][j])
     e = math.frexp(max(rhs))[1]
     bounds = [(0.0, 0.0)] + [(None, None)] * (N - 1)
     b_ub = [math.ldexp(d, -e) for d in rhs]
