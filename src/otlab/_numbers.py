@@ -26,6 +26,10 @@ bounded cache in front of ``Fraction(n, d)``. Masses sit on a few grids
 masses repeat the same few ratios, and a repeat is a lookup instead of a
 ``gcd`` and a new object. A Fraction is immutable, so a shared instance has
 the value, type and ``repr`` a fresh one would have.
+
+One reader, :func:`read_entries`, turns the text files whose numbers are
+parsed here (measure, finite-space and config files) into numbered lines
+with their ``#`` comments cut, and refuses a file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ParseError
 
 __all__ = [
     "DEFAULT_TOL",
@@ -50,6 +54,7 @@ __all__ = [
     "integer_units",
     "plain_sum",
     "ratio",
+    "read_entries",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -203,3 +208,33 @@ def plain_sum(values):
     for v in values:
         total = total + v
     return total
+
+
+def read_entries(path):
+    """``(count, entries)`` of a UTF-8 text file: its number of lines, and its non-blank lines.
+
+    Each entry is ``(lineno, text)``, numbered from 1, with ``text`` the line
+    up to its first ``#``, unstripped; a line that holds only blanks and a
+    comment is left out. An ``OSError`` from opening or reading the file
+    passes through. A file that is not UTF-8 is a :class:`ParseError` at the
+    line and column of its first bad byte.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the bad one sits at the end of their last line
+        before = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(
+            f"not UTF-8 text: cannot decode byte 0x{data[exc.start]:02x}",
+            path=path,
+            line=len(before),
+            column=len(before[-1]),
+        ) from None
+    entries = []
+    for lineno, raw in enumerate(lines, start=1):
+        text = raw.split("#", 1)[0]
+        if text.strip():
+            entries.append((lineno, text))
+    return len(lines), entries

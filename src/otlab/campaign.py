@@ -483,6 +483,9 @@ def _campaign_report(name, space, seed, trials, tol, mode, run):
     """Check the arguments every campaign shares, then time ``run()`` into a report."""
     if mode not in ("float", "rational"):
         raise DomainError(f"mode must be 'float' or 'rational', got {mode!r}")
+    if seed < 0:
+        # numpy's seed sequence takes non-negative entropy only
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     if trials < 1:
         raise DomainError("trial count must be at least 1")
     if not tol > 0:

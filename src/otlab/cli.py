@@ -39,6 +39,7 @@ from .errors import (
     SolverStallError,
     SpaceMismatchError,
 )
+from ._numbers import read_entries
 from .metric import Euclidean, Interval, Product, format_number, parse_number
 from .measure import _point_tokens, dump_measure, load_measure
 from .isometry import _ISOMETRY_NAMES, IntervalIsometry, apply_interval_isometry, fiber_flip
@@ -174,15 +175,11 @@ def parse_config(path):
     mode, which may itself come from this file.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        _, lines = read_entries(path)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc.strerror}", path=path) from exc
     entries = {}
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0]
-        if not text.strip():
-            continue
+    for lineno, text in lines:
         if "=" not in text:
             raise ParseError("expected 'key = value'", path=path, line=lineno, column=1)
         key_part, _, value_part = text.partition("=")
@@ -236,6 +233,13 @@ _UNREAD["transform"] = {
 }
 
 
+# a space or a base of the interval leaves these product settings unread
+_INTERVAL_DROPS = {
+    "space": (("alpha", "q", "base", "dim"), "the space is the interval"),
+    "base": (("dim",), "the base is the interval"),
+}
+
+
 def _settings(args):
     """A run's settings as text, CLI flags over config-file entries, and the keys the flags gave."""
     entries = parse_config(args.config) if args.config else {}
@@ -247,9 +251,14 @@ def _settings(args):
 def _refuse_unread(command, entries, flags):
     """A DomainError naming the first setting, in --help order, that ``command`` would drop.
 
-    A flag is named as one, and so is a config entry that no flag overrides.
+    Besides the command's own ``_UNREAD`` settings, every command drops the
+    product parts beside a space or a base of the interval. A flag is named
+    as one, and so is a config entry that no flag overrides.
     """
     unread = _UNREAD[command]
+    for key, (parts, why) in _INTERVAL_DROPS.items():
+        if entries.get(key) == "interval":
+            unread = {**dict.fromkeys(parts, (None, why)), **unread}
     for key in _OPTIONS:
         if key not in unread:
             continue

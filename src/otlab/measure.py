@@ -35,6 +35,7 @@ from ._numbers import (
     parse_number,
     plain_sum,
     ratio,
+    read_entries,
     tolerance,
 )
 from .metric import (
@@ -424,14 +425,10 @@ def _parse_point(space, tokens, exact, path, lineno, column=2):
 
 def load_measure(path, space, exact=False):
     """Read a measure file for ``space``. Returns ``(measure, space_id)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    count, entries = read_entries(path)
     space_id = None
     atoms = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in entries:
         tokens = text.split()
         if space_id is None:
             if tokens[0] != "space" or len(tokens) != 2:
@@ -449,7 +446,7 @@ def load_measure(path, space, exact=False):
     if space_id is None:
         raise ParseError("missing header: space <id>", path=path, line=1, column=1)
     if not atoms:
-        raise ParseError("measure file has no atoms", path=path, line=len(lines) or 1)
+        raise ParseError("measure file has no atoms", path=path, line=count or 1)
     try:
         measure = DiscreteMeasure(space, tuple(atoms))
     except (InvalidMeasureError, SpaceMismatchError) as exc:

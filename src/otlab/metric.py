@@ -52,6 +52,7 @@ from ._numbers import (
     plain_sum,
     powered_abs,
     ratio,
+    read_entries,
     root,
     tolerance,
 )
@@ -843,16 +844,11 @@ def load_finite_space(path, exact=False):
     as Fractions. Blank lines and ``#`` comments may appear anywhere; any
     other line after the n rows is a :class:`ParseError`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    count, entries = read_entries(path)
     rows = []
     n = None
-    lineno = 0
-    for raw in lines:
-        lineno += 1
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
+    for lineno, text in entries:
+        text = text.strip()
         if n is None:
             try:
                 n = int(text)
@@ -878,9 +874,9 @@ def load_finite_space(path, exact=False):
                 raise ParseError(str(exc), path=path, line=lineno, column=col) from None
         rows.append(row)
     if n is None:
-        raise ParseError("empty finite-space file", path=path, line=lineno or 1)
+        raise ParseError("empty finite-space file", path=path, line=count or 1)
     if len(rows) != n:
-        raise ParseError(f"expected {n} rows, got {len(rows)}", path=path, line=lineno)
+        raise ParseError(f"expected {n} rows, got {len(rows)}", path=path, line=count)
     try:
         return Finite(tuple(tuple(r) for r in rows))
     except InvalidSpaceError as exc:

@@ -771,8 +771,9 @@ def _kr_witness(mu, nu, result):
     the union of the supports.
 
     On an exact result the c-transform runs in integers: the distances come
-    from the space's integer units at p = 1, and the potentials are scaled to
-    their common unit L with them. On a certified one, f at a point of
+    from the space's integer units at p = 1, and one ``integer_units`` call
+    brings the potentials u_j and the v_k taken below to one unit, scaled
+    with the distances to their lcm L. On a certified result, f at a point of
     supp(nu) outside supp(mu) is that column's potential v_k: dual
     feasibility gives d(y_j, z_k) - u_j >= v_k for every j, and the column's
     tree cell gives equality. So the distances are built over supp(mu) x
@@ -780,10 +781,10 @@ def _kr_witness(mu, nu, result):
     The net masses are taken in the measures' joint mass units (scale Lm), so
     the dual value is one ``ratio(sum, L * Lm)`` of an integer sum; each
     f(z) is a Fraction. A float result, or a space whose units are not exact
-    there, takes ``space.distance`` cell by cell and sums f(z) times the net
-    mass in the masses' own arithmetic: a float ``Euclidean`` distance at dim
-    >= 2 is ``math.sqrt``, which can differ from the p = 1 cost in the last
-    digit.
+    there, takes ``space.distance`` cell by cell, one ``min`` per union point
+    (the first of equal candidates), and sums f(z) times the net mass in the
+    masses' own arithmetic: a float ``Euclidean`` distance at dim >= 2 is
+    ``math.sqrt``, which can differ from the p = 1 cost in the last digit.
     """
     space = mu.space
     u, v = result.dual_potentials
@@ -793,27 +794,19 @@ def _kr_witness(mu, nu, result):
     if result.arithmetic == "exact":
         units = space._unit_costs(rows if result.certified else points, rows, 1)
     if units is None:
-        values = []
-        for z in points:
-            best = None
-            for j, y in enumerate(rows):
-                cand = space.distance(z, y) - u[j]
-                if best is None or cand < best:
-                    best = cand
-            values.append(best)
+        values = [min(space.distance(z, y) - uj for y, uj in zip(rows, u)) for z in points]
         net = _net_mass(mu.masses, nu.masses, nu_at, len(points))
         value = plain_sum(f * x for f, x in zip(values, net))
     else:
         costs, scale = units
         # the union points past the costed rows take their v_k, in union order
         known = [v[k] for k, at in enumerate(nu_at) if at >= len(costs)]
-        u_units, Lu = integer_units(u)
-        v_units, Lv = integer_units(known)
-        L = math.lcm(scale, Lu, Lv)
+        pot_units, Lp = integer_units([*u, *known])
+        L = math.lcm(scale, Lp)
         k = L // scale
-        u_units = [x * (L // Lu) for x in u_units]
-        f_units = [min(c * k - uj for c, uj in zip(row, u_units)) for row in costs]
-        f_units += [x * (L // Lv) for x in v_units]
+        pot_units = [x * (L // Lp) for x in pot_units]
+        u_units, known_units = pot_units[: len(u)], pot_units[len(u) :]
+        f_units = [min(c * k - uj for c, uj in zip(row, u_units)) for row in costs] + known_units
         values = [ratio(x, L) for x in f_units]
         a_units, b_units, Lm = _joint_units(mu._mass_units, nu._mass_units)
         net = _net_mass(a_units, b_units, nu_at, len(points))
@@ -828,8 +821,18 @@ def kr_dual(mu, nu, independent=False):
     1-Lipschitz function via f(z) = min_j (d(z, y_j) - u_j). With
     ``independent=True`` the dual is instead solved from scratch as an
     explicit LP over the values f(z) with pairwise Lipschitz constraints
-    (scipy linprog), sharing nothing with the simplex path. A distance
-    beyond the float range is a :class:`DomainError` on either path.
+    (scipy linprog), sharing no code with the simplex solve; it takes the
+    union of the supports and the net masses (in floats) from the helpers
+    the witness uses. A distance beyond the float range is a
+    :class:`DomainError` on either path.
+
+    The LP is built from arrays: the distances of the N union points in one
+    N x N float64 array, one ``space.distance`` call per unordered pair, and
+    from the index arrays of the N(N - 1) ordered pairs, row-major, a dense
+    float64 constraint matrix with +1 at f(i) and -1 at f(j) in each row,
+    and its bounds d(i, j). A sparse matrix would hold 2N(N - 1) entries
+    instead of N**2(N - 1), but makes HiGHS slower on a campaign's LPs of up
+    to 16 points.
 
     HiGHS reads a bound of 1e20 or more as infinite and works to absolute
     tolerances, so the LP is solved on the distances divided by the power of
@@ -844,42 +847,33 @@ def kr_dual(mu, nu, independent=False):
     if not independent:
         return _kr_witness(mu, nu, solve_wasserstein(mu, nu, p=1))
     space = mu.space
-    points = _union_support(mu, nu)
+    points, nu_at = _union(mu, nu)
     N = len(points)
     if N == 1:
         return DualPotential(0.0, ((points[0], 0.0),), "independent-lp")
-    mu_masses = mu.as_dict()
-    nu_masses = nu.as_dict()
 
     from scipy.optimize import linprog
 
-    w = np.array(
-        [float(nu_masses.get(z, 0)) - float(mu_masses.get(z, 0)) for z in points]
-    )
+    # -a + b has the bits of b - a: w is nu's float mass minus mu's at each union point
+    w = np.array(_net_mass([float(x) for x in mu.masses], [float(x) for x in nu.masses], nu_at, N))
     # d(y, z) and d(z, y) are bit-equal on every space kind, so each unordered
     # pair is costed once and bounds both f(y) - f(z) and f(z) - f(y)
-    dist = [[0.0] * N for _ in range(N)]
+    dist = np.zeros((N, N))
     for i in range(N):
         for j in range(i + 1, N):
             d = space.distance(points[i], points[j])
             if not d <= _MAX_FLOAT:  # inf, or an exact distance too large for a float
                 raise _distance_beyond_range()
-            dist[i][j] = dist[j][i] = float(d)
-    rows_A = []
-    rhs = []
-    for i in range(N):
-        for j in range(N):
-            if i == j:
-                continue
-            constraint = [0.0] * N
-            constraint[i] = 1.0
-            constraint[j] = -1.0
-            rows_A.append(constraint)
-            rhs.append(dist[i][j])
-    e = math.frexp(max(rhs))[1]
+            dist[i, j] = dist[j, i] = float(d)
+    # one row f(i) - f(j) <= d(i, j) per ordered pair, row-major
+    i, j = np.nonzero(~np.eye(N, dtype=bool))
+    A_ub = np.zeros((len(i), N))
+    r = np.arange(len(i))
+    A_ub[r, i] = 1.0
+    A_ub[r, j] = -1.0
+    e = math.frexp(dist.max())[1]
     bounds = [(0.0, 0.0)] + [(None, None)] * (N - 1)
-    b_ub = [math.ldexp(d, -e) for d in rhs]
-    res = linprog(-w, A_ub=rows_A, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(-w, A_ub=A_ub, b_ub=np.ldexp(dist[i, j], -e), bounds=bounds, method="highs")
     if not res.success:
         raise SolverStallError(f"independent dual LP failed: {res.message}")
     values = [math.ldexp(float(x), e) for x in res.x]
