@@ -200,7 +200,7 @@ def test_solves_match_the_loops_end_to_end(name, monkeypatch):
     # in repr (plan, potentials, cost bits) and pivots
     space, p = SPACES[name]
     rng = make_rng((257, sorted(SPACES).index(name)))
-    pairs = [(random_measure(rng, space, m), random_measure(rng, space, n)) for m, n in SHAPES[:3]]
+    pairs = [(random_measure(rng, space, m), random_measure(rng, space, n)) for m, n in SHAPES]
     broadcast = [solve_wasserstein(mu, nu, p=p) for mu, nu in pairs]
     with_array = _CostMatrix._cost_matrix_and_array
     monkeypatch.setattr(_CostMatrix, "_cost_matrix_and_array", lambda *args: (with_array(*args)[0], None))
@@ -217,11 +217,12 @@ def test_small_matrices_have_no_array():
 
 
 def test_a_40_by_40_plane_solve_is_pinned():
-    # the benchmark's shape; these figures are those of the loops' code
+    # the benchmark's shape; these figures are the candidate rule's, which
+    # the loop reference of test_candidate_pricing reproduces
     rng = make_rng(29)
     mu, nu = (random_measure(rng, PLANE, 40, window=10) for _ in range(2))
     result = solve_wasserstein(mu, nu, p=2)
-    assert (result.pivots, result.powered_cost.hex(), result.certified) == (101, "0x1.18afb9f529b71p+3", True)
+    assert (result.pivots, result.powered_cost.hex(), result.certified) == (63, "0x1.18afb9f529b73p+3", True)
 
 
 def _masses(rng, k):
