@@ -440,48 +440,8 @@ def _hang(flows, cost, m, n):
     return parent, depth, flow, adj, u, v
 
 
-def _block_search(cost, u, v, parent, m, n, threshold):
-    """Block-search pricing: yields each pivot's entering cell (i, k), or None at optimality.
-
-    The scan resumes where the last one stopped, wraps round the m*n cells
-    row by row, and takes the most negative reduced cost below ``threshold``
-    (the first on a tie) of the first block of max(isqrt(m*n), 10) cells
-    that has one; no block runs past the cells left. A tree cell links a
-    node to its parent. ``u``, ``v`` and ``parent`` are the kernel's lists,
-    read as each pivot left them.
-    """
-    cells = m * n
-    block = max(math.isqrt(cells), 10)
-    i = j = 0  # where the next scan starts, row-major over the cells
-    while True:
-        ei = -1
-        best = threshold
-        left = block
-        scanned = 0
-        while scanned < cells:
-            stop = n if j + left > n else j + left
-            ui = u[i]
-            row = cost[i]
-            for k in range(j, stop):
-                d = row[k] - ui - v[k]
-                if d < best and parent[i] != m + k and parent[m + k] != i:
-                    best = d
-                    ei, ej = i, k
-            scanned += stop - j
-            left -= stop - j
-            j = stop
-            if j == n:
-                j = 0
-                i = i + 1 if i < m - 1 else 0
-            if left == 0:
-                if ei >= 0:
-                    break
-                left = block if block < cells - scanned else cells - scanned
-        yield (ei, ej) if ei >= 0 else None
-
-
 def _candidate_search(array, cost, u, v, parent, m, n):
-    """Candidate-list pricing (Grigoriadis 1986) on float costs: yields entering cells, or None.
+    """Candidate-list pricing (Grigoriadis 1986) on float costs: yields entering cells, ends at optimality.
 
     Each pivot re-prices the listed cells with the current potentials and
     keeps those still below ``-_ENTERING_EPS`` and off the tree; the most
@@ -530,7 +490,6 @@ def _candidate_search(array, cost, u, v, parent, m, n):
                 swept += stop - top
                 top = stop if stop < m else 0
             if not listed:
-                yield None
                 return
             entering = listed[0]
         yield entering
@@ -550,8 +509,9 @@ def _simplex_from(flows, cost, m, n, scale, budget, array=None):
     cell's end with ``_hang_below``, the walk ``_hang`` set the tree up
     with. ``scale`` is None for float inputs. For integer units it is the
     number of flow-times-cost units in one unit of real cost, used to report
-    a stall. The entering cells come from ``_block_search``, or, given
-    ``array``, the float64 array of float costs, from ``_candidate_search``.
+    a stall. The entering cell comes from block search in the loop, or,
+    given ``array``, the float64 array of float costs, from the generator
+    ``_candidate_search``.
 
     Tree nodes are rows 0..m-1 and columns m..m+n-1, rooted at row 0. Each
     node other than the root holds its parent, its depth and the flow of the
@@ -565,15 +525,46 @@ def _simplex_from(flows, cost, m, n, scale, budget, array=None):
     then filled in from the nodes at the end.
     """
     parent, depth, flow, adj, u, v = _hang(flows, cost, m, n)
-    if array is None:
-        pricing = _block_search(cost, u, v, parent, m, n, -_ENTERING_EPS if scale is None else 0)
-    else:
-        pricing = _candidate_search(array, cost, u, v, parent, m, n)
+    candidates = None if array is None else _candidate_search(array, cost, u, v, parent, m, n)
+    threshold = -_ENTERING_EPS if scale is None else 0
+    cells = m * n
+    block = max(math.isqrt(cells), 10)
+    i = j = 0  # where the next block search starts, row-major over the cells
     pivots = 0
-    for entering in pricing:
-        if entering is None:
+    while True:
+        if candidates is not None:
+            ei, ej = next(candidates, (-1, -1))
+        else:
+            # Block search: scan from (i, j), wrapping round the cells, and take
+            # the most negative reduced cost of the first block that has one (no
+            # block runs past the cells left). A tree cell links a node to its parent.
+            # It stays in the loop: run as a generator it slows the small
+            # exact solves, which make few pivots, by about 2%.
+            ei = -1
+            best = threshold
+            left = block
+            scanned = 0
+            while scanned < cells:
+                stop = n if j + left > n else j + left
+                ui = u[i]
+                row = cost[i]
+                for k in range(j, stop):
+                    d = row[k] - ui - v[k]
+                    if d < best and parent[i] != m + k and parent[m + k] != i:
+                        best = d
+                        ei, ej = i, k
+                scanned += stop - j
+                left -= stop - j
+                j = stop
+                if j == n:
+                    j = 0
+                    i = i + 1 if i < m - 1 else 0
+                if left == 0:
+                    if ei >= 0:
+                        break
+                    left = block if block < cells - scanned else cells - scanned
+        if ei < 0:
             return (_fill_flows(flows, parent, flow, m) if pivots else flows), pivots, u, v, adj
-        ei, ej = entering
         if pivots >= budget:
             current = _flow_cost(_fill_flows(flows, parent, flow, m), cost)
             raise SolverStallError(
@@ -771,7 +762,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     floats prices from a candidate list on the float64 array (the broadcast
     one, else ``np.array`` of the list, so the pivots do not depend on how
     the matrix was built). ``tol`` must be a finite number >= 0 and
-    ``pivot_budget`` None or an int >= 0; anything else is a
+    ``pivot_budget`` None or an integer >= 0; anything else is a
     :class:`DomainError`.
     The pivot budget defaults to 10 * m * n; exhausting it raises
     :class:`SolverStallError` rather than returning an approximation. The
@@ -786,9 +777,9 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     if not (real and 0 <= tol < math.inf):
         raise DomainError(f"tol must be a finite number >= 0, got {tol!r}")
     if pivot_budget is not None and (
-        isinstance(pivot_budget, bool) or not isinstance(pivot_budget, int) or pivot_budget < 0
+        isinstance(pivot_budget, bool) or not isinstance(pivot_budget, numbers.Integral) or pivot_budget < 0
     ):
-        raise DomainError(f"pivot_budget must be None or an int >= 0, got {pivot_budget!r}")
+        raise DomainError(f"pivot_budget must be None or an integer >= 0, got {pivot_budget!r}")
     space = mu.space
     rows = mu.support
     cols = nu.support
@@ -802,10 +793,11 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         a, b, L, scale = mu.masses, nu.masses, None, None
         cost, array = space._cost_matrix_and_array(rows, cols, p)
         if m * n >= _CANDIDATE_MIN_CELLS:
-            # the candidate list prices float costs on an array, however they were built
-            if array is None and all(type(c) is float for row in cost for c in row):
-                array = np.array(cost)
+            # the candidate list prices float costs on an array, however they
+            # were built; the start and the certificate keep the path they had
             priced = array
+            if array is None and all(type(c) is float for row in cost for c in row):
+                priced = np.array(cost)
     else:
         # pivot and certify on integers: masses times L and costs times Lc,
         # so flow-times-cost sums are in units of 1 / (L * Lc)
