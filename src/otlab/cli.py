@@ -162,7 +162,9 @@ _OPTIONS = {
     ),
     "dim": ("dim", _integer, {"help": "euclidean base dimension"}),
     "order": ("order", _number, {"help": "transport order p (dist)"}),
-    "window": ("window", _window, {"help": "sampling window: radius or lo:hi"}),
+    "window": (
+        "window", _window, {"help": "sampling window: radius or lo:hi; write --window=lo:hi when lo is negative"}
+    ),
     "report": ("report", _text, {"help": "report output path (verify/scenario)"}),
     "csv": ("csv", _text, {"help": "residual CSV output path (verify/scenario)"}),
 }

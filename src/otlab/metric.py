@@ -413,7 +413,9 @@ def _check_unit_range(t, what):
 
 
 def _check_cost_exponent(p):
-    """The one rule for a cost exponent p: a finite number >= 1, or a DomainError."""
+    """The one rule for a cost exponent p: a finite number >= 1, not a bool, or a DomainError."""
+    if isinstance(p, bool):
+        raise DomainError(f"cost exponent p={p!r} is a bool, not a number")
     if not 1 <= p < math.inf:
         rule = "be finite" if p == math.inf else "be >= 1"
         raise DomainError(f"cost exponent p={p!r} must {rule}")

@@ -11,19 +11,25 @@ staircase's do. An exact solve starts from the northwest corner
 (``_transport_simplex``); it keeps that start, so its pivots, plan and
 potentials do not move. A float solve starts from a least-cost spanning tree
 (``_least_cost_tree``); on the paper's product at m = n = 40 that halves the
-pivots. Where ``cost_matrix`` broadcast the float costs in numpy, the solve
-keeps that float64 array beside the lists: the start orders its cells with a
-stable argsort of it and the certificate scans dual feasibility on it. Both
-make the loops' comparisons on the same bits, so the results do not move.
-The entering cell comes from block-search pricing (Bonneel, van de
-Panne, Paris & Heidrich 2011): the scan resumes where the last one stopped,
-wraps round the m*n cells, and takes the most negative reduced cost in the
-first block of max(isqrt(m*n), 10) cells that has one. A float solve of at
-least ``_CANDIDATE_MIN_CELLS`` cells whose costs are all floats prices from
-a candidate list instead (Grigoriadis 1986): the listed cells are re-priced
-in Python on each pivot, and one numpy pass over a band of rows refills the
-list when none of them is negative any more. On the paper's product at
-m = n = 40 that takes about a third fewer pivots. Cunningham's (1976)
+pivots. A float solve whose costs are all Python floats and whose matrix
+has more than ``_PER_CELL_MAX`` (25) cells keeps one float64 array of them
+beside the lists: the one ``cost_matrix`` broadcast, else ``np.array`` of the
+list. The start orders its cells with a stable argsort of it and the
+certificate scans dual feasibility on it; both make the loops' comparisons
+on the same bits, so the results do not move. So a float solve's path
+follows its costs and its size, not how its coordinates were spelled: any
+exact cost or at most 25 cells, loops and block search; 26 to 575 cells,
+the array's start and certificate and block search; 576
+(``_CANDIDATE_MIN_CELLS``) or more, the array throughout. The entering cell
+comes from block-search pricing (Bonneel, van de Panne, Paris & Heidrich
+2011): the scan resumes where the last one stopped, wraps round the m*n
+cells, and takes the most negative reduced cost in the first block of
+max(isqrt(m*n), 10) cells that has one. Given the array and at least
+``_CANDIDATE_MIN_CELLS`` cells, the kernel prices from a candidate list
+instead (Grigoriadis 1986): the listed cells are re-priced in Python on
+each pivot, and one numpy pass over a band of rows refills the list when
+none of them is negative any more. On the paper's product at m = n = 40
+that takes about a third fewer pivots. Cunningham's (1976)
 leaving rule keeps a strongly feasible tree strongly feasible, which rules
 out cycling on degenerate pivots. Both starts are strongly feasible: the
 northwest staircase on exact masses, the least-cost tree on any masses,
@@ -78,7 +84,7 @@ from .errors import (
 )
 from ._numbers import DEFAULT_TOL, format_number, integer_units, plain_sum, ratio, root, tolerance
 from .measure import _point_tokens, _require_same_space
-from .metric import _MAX_FLOAT, _check_cost_exponent, _cost_beyond_range, _distance_beyond_range
+from .metric import _MAX_FLOAT, _PER_CELL_MAX, _check_cost_exponent, _cost_beyond_range, _distance_beyond_range
 
 __all__ = [
     "Coupling",
@@ -286,10 +292,12 @@ def _least_cost_tree(a, b, cost, m, n, array=None):
     The dict holds the forest in the order its cells were taken, then the
     dust cells, then the joining cells.
 
-    ``array`` is the costs as the float64 array ``cost_matrix`` broadcast, or
-    None. With it the order comes from a stable ``np.argsort``, which keeps
-    ties in row-major order as ``sorted`` does (-0.0 ties with 0.0 in both),
-    and the cells' rows and columns from one vectorised ``divmod``.
+    ``array`` is the float solve's float64 array of its costs (all Python
+    floats, more than ``_PER_CELL_MAX`` cells), or None: the loop path, which
+    small matrices and solves with an exact cost take. With it the order
+    comes from a stable ``np.argsort``, which keeps ties in row-major order as
+    ``sorted`` does (-0.0 ties with 0.0 in both), and the cells' rows and
+    columns from one vectorised ``divmod``.
     """
     if array is None:
         flat = [c for row in cost for c in row]
@@ -510,7 +518,8 @@ def _simplex_from(flows, cost, m, n, scale, budget, array=None):
     with. ``scale`` is None for float inputs. For integer units it is the
     number of flow-times-cost units in one unit of real cost, used to report
     a stall. The entering cell comes from block search in the loop, or,
-    given ``array``, the float64 array of float costs, from the generator
+    given ``array`` (the float solve's float64 array of its costs) and at
+    least ``_CANDIDATE_MIN_CELLS`` cells, from the generator
     ``_candidate_search``.
 
     Tree nodes are rows 0..m-1 and columns m..m+n-1, rooted at row 0. Each
@@ -525,9 +534,10 @@ def _simplex_from(flows, cost, m, n, scale, budget, array=None):
     then filled in from the nodes at the end.
     """
     parent, depth, flow, adj, u, v = _hang(flows, cost, m, n)
-    candidates = None if array is None else _candidate_search(array, cost, u, v, parent, m, n)
-    threshold = -_ENTERING_EPS if scale is None else 0
     cells = m * n
+    by_list = array is not None and cells >= _CANDIDATE_MIN_CELLS
+    candidates = _candidate_search(array, cost, u, v, parent, m, n) if by_list else None
+    threshold = -_ENTERING_EPS if scale is None else 0
     block = max(math.isqrt(cells), 10)
     i = j = 0  # where the next block search starts, row-major over the cells
     pivots = 0
@@ -672,9 +682,11 @@ def _certify(a, b, cost, flows, u, v, m, n, primal, tol, array=None):
     """Whether u, v prove the flows of cost ``primal`` optimal, each check within ``tol``.
 
     Complementary slackness is checked on the basic cells and the duality
-    gap is folded in a loop. Dual feasibility covers every cell: in a loop,
-    or, given the float64 ``array`` of the costs, in numpy as
-    ``(array - u) - v``, the loop's operations in its order on the same bits.
+    gap is folded in a loop. Dual feasibility covers every cell: in a loop
+    (``array`` None: exact solves, small matrices, solves with an exact
+    cost), or, given the float solve's float64 ``array`` of its costs, in
+    numpy as ``(array - u) - v``, the loop's operations in its order on the
+    same bits.
     """
     gap_total = 0
     for i in range(m):
@@ -755,13 +767,16 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     once, and each potential is the int or the Fraction that Fraction
     arithmetic along its tree path would give it (``_int_nodes``, a walk
     that a space whose exact costs are all ints skips). Any other
-    input takes the space's ``cost_matrix``, with its float64 array where it
-    was broadcast, and is certified within ``tol``. Exact solves and float
-    solves of fewer than ``_CANDIDATE_MIN_CELLS`` (576) cells price by block
-    search; a float solve of at least that many cells whose costs are all
-    floats prices from a candidate list on the float64 array (the broadcast
-    one, else ``np.array`` of the list, so the pivots do not depend on how
-    the matrix was built). ``tol`` must be a finite number >= 0 and
+    input takes the space's ``cost_matrix`` and is certified within ``tol``.
+    Where every cost is a Python float and the matrix has more than
+    ``_PER_CELL_MAX`` (25) cells, the solve keeps one float64 array of the
+    costs, the broadcast one, else ``np.array`` of the list, and hands that
+    one array to the start, the kernel and the certificate; the kernel
+    prices from a candidate list on it from ``_CANDIDATE_MIN_CELLS`` (576)
+    cells on. Three paths follow: any exact cost or at most 25 cells, loops
+    and block search; 26 to 575 cells, the array's start and certificate
+    and block search; 576 or more, the array throughout. Exact solves take
+    the loops and block search. ``tol`` must be a finite number >= 0 and
     ``pivot_budget`` None or an integer >= 0; anything else is a
     :class:`DomainError`.
     The pivot budget defaults to 10 * m * n; exhausting it raises
@@ -788,16 +803,12 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     mass_b = nu._mass_units
     # the measures validated their points and p is checked above
     units = None if mass_a is None or mass_b is None else space._unit_costs(rows, cols, p)
-    array = priced = None
+    array = None
     if units is None:
         a, b, L, scale = mu.masses, nu.masses, None, None
         cost, array = space._cost_matrix_and_array(rows, cols, p)
-        if m * n >= _CANDIDATE_MIN_CELLS:
-            # the candidate list prices float costs on an array, however they
-            # were built; the start and the certificate keep the path they had
-            priced = array
-            if array is None and all(type(c) is float for row in cost for c in row):
-                priced = np.array(cost)
+        if array is None and m * n > _PER_CELL_MAX and all(type(c) is float for row in cost for c in row):
+            array = np.array(cost)
     else:
         # pivot and certify on integers: masses times L and costs times Lc,
         # so flow-times-cost sums are in units of 1 / (L * Lc)
@@ -806,7 +817,7 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         scale = L * Lc
     budget = 10 * m * n if pivot_budget is None else pivot_budget
     start = _northwest_corner(a, b, m, n) if scale is not None else _least_cost_tree(a, b, cost, m, n, array)
-    flows, pivots, u, v, adj = _simplex_from(start, cost, m, n, scale, budget, priced)
+    flows, pivots, u, v, adj = _simplex_from(start, cost, m, n, scale, budget, array)
     powered = _flow_cost(flows, cost)
     certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol), array)
     # the nonzero cells, row-major: integer flows become Fractions, float ones stay as they are
@@ -1022,7 +1033,11 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, budget=2_000_000):
     improvement when the cycle's cost is exact, is returned as a witness (the
     offending cells in order). The combinatorial size is guarded:
     cells**max_cycle beyond ``budget`` raises instead of running forever.
+    ``max_cycle`` must be an integer (not a bool) of at least 2, else a
+    :class:`DomainError`.
     """
+    if isinstance(max_cycle, bool) or not isinstance(max_cycle, numbers.Integral):
+        raise DomainError(f"max_cycle must be an integer, got {max_cycle!r}")
     if max_cycle < 2:
         raise DomainError("max_cycle must be at least 2")
     cells = pi.cells()
