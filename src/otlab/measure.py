@@ -39,6 +39,7 @@ from ._numbers import (
     tolerance,
 )
 from .metric import (
+    _FLOAT_TYPES,
     Euclidean,
     EuclideanPoint,
     Finite,
@@ -91,7 +92,7 @@ def _canonical_atoms(space, atoms):
     for _, point, mass in sorted(merged, key=itemgetter(0)):
         if mass < 0:
             raise InvalidMeasureError(f"negative mass {mass!r} at {point}")
-        if isinstance(mass, float):
+        if isinstance(mass, _FLOAT_TYPES):
             if mass != mass:  # NaN fails every comparison above
                 raise InvalidMeasureError(f"mass {mass!r} at {point} is not a number")
             if 0 < mass < MASS_FLOOR:

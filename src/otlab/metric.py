@@ -86,6 +86,10 @@ _MAX_FLOAT = int(sys.float_info.max)
 # coordinates: up to about it, numpy's fixed cost per call exceeds the
 # per-cell code's on the slowest kind per cell, a Product at p != q (README)
 _PER_CELL_MAX = 25
+# a mass or coordinate of these types can be NaN or inf, so it gets the float
+# checks: Python's float and every NumPy floating scalar (np.float64 is a
+# float, np.float32 and np.float16 are not); ints and Fractions need none
+_FLOAT_TYPES = (float, np.floating)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +420,11 @@ def _check_cost_exponent(p):
     """The one rule for a cost exponent p: a finite number >= 1, not a bool, or a DomainError."""
     if isinstance(p, bool):
         raise DomainError(f"cost exponent p={p!r} is a bool, not a number")
-    if not 1 <= p < math.inf:
+    try:
+        inside = 1 <= p < math.inf
+    except TypeError:  # a str, None, a complex or a list does not compare with 1
+        raise DomainError(f"cost exponent p={p!r} is not a number") from None
+    if not inside:
         rule = "be finite" if p == math.inf else "be >= 1"
         raise DomainError(f"cost exponent p={p!r} must {rule}")
 
@@ -474,7 +482,7 @@ class Euclidean(_CostMatrix):
                 f"point has {len(p.coords)} coordinates, space has dimension {self.dim}"
             )
         for c in p.coords:
-            if isinstance(c, float) and not math.isfinite(c):
+            if isinstance(c, _FLOAT_TYPES) and not math.isfinite(c):
                 raise SpaceMismatchError(f"coordinate {c!r} is not finite")
 
     def _sq(self, a, b):

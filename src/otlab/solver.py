@@ -1033,15 +1033,19 @@ def check_cyclical_monotonicity(pi, p=1, max_cycle=3, budget=2_000_000):
     improvement when the cycle's cost is exact, is returned as a witness (the
     offending cells in order). The combinatorial size is guarded:
     cells**max_cycle beyond ``budget`` raises instead of running forever.
-    ``max_cycle`` must be an integer (not a bool) of at least 2, else a
-    :class:`DomainError`.
+    ``max_cycle`` must be an integer (not a bool) of at least 2, and
+    ``budget`` a number, else a :class:`DomainError`.
     """
     if isinstance(max_cycle, bool) or not isinstance(max_cycle, numbers.Integral):
         raise DomainError(f"max_cycle must be an integer, got {max_cycle!r}")
     if max_cycle < 2:
         raise DomainError("max_cycle must be at least 2")
     cells = pi.cells()
-    if len(cells) ** max_cycle > budget:
+    try:
+        over = len(cells) ** max_cycle > budget
+    except TypeError:  # a str or None does not compare with a number
+        raise DomainError(f"budget must be a number, got {budget!r}") from None
+    if over:
         raise BudgetError(
             f"{len(cells)} support pairs ** {max_cycle} exceeds budget {budget}"
         )
