@@ -11,6 +11,7 @@ and to a fixed-schema CSV of residuals.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .isometry import fiber_flip, flip, flip_coupling, flip_via_cdf
 from .sampling import (
     DEFAULT_WINDOW,
     _scalar,
+    _window_bounds,
     make_rng,
     random_coupling,
     random_masses,
@@ -239,11 +241,12 @@ def _suite_metric_axioms(rng, ctx):
     space = ctx["space"]
     a, b, c = (random_point(rng, space, exact=ctx["exact"], window=ctx["window"]) for _ in range(3))
     residual = float(abs(distance(space, a, a)))
-    residual = max(residual, float(abs(distance(space, a, b) - distance(space, b, a))))
-    raw = distance(space, a, b) + distance(space, b, c) - distance(space, a, c)
+    ab = distance(space, a, b)
+    residual = max(residual, float(abs(ab - distance(space, b, a))))
+    raw = ab + distance(space, b, c) - distance(space, a, c)
     if raw < 0:
         residual = max(residual, float(-raw))
-    if a != b and not distance(space, a, b) > 0:
+    if a != b and not ab > 0:
         return _FAIL, "zero distance between distinct points"
     return residual, ""
 
@@ -425,6 +428,11 @@ SUITE_NAMES = tuple(_SUITES)
 # suites that exercise the isometry machinery on a caller-chosen space
 _FLEXIBILITY_SUITES = ("fiber-flip-isometry", "pi-hat-cost")
 
+# suites that build their own space and sampling windows: the space and the
+# window a campaign is given reach none of their draws (flip-isometry draws
+# on [0, 1], the others on products of their own)
+_OWN_SPACE_SUITES = ("flip-isometry", "ratio-singleton", "ratio-witness", "geodesic-extension")
+
 
 def _scenario_spaces(exact):
     half = ratio(1, 2) if exact else 0.5
@@ -483,12 +491,20 @@ def _campaign_report(name, space, seed, trials, tol, mode, run):
     """Check the arguments every campaign shares, then time ``run()`` into a report."""
     if mode not in ("float", "rational"):
         raise DomainError(f"mode must be 'float' or 'rational', got {mode!r}")
-    if seed < 0:
-        # numpy's seed sequence takes non-negative entropy only
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        # numpy's seed sequence takes non-negative integer entropy only
         raise DomainError(f"seed must be a non-negative integer, got {seed}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise DomainError(f"trial count must be an integer, got {trials!r}")
     if trials < 1:
         raise DomainError("trial count must be at least 1")
-    if not tol > 0:
+    try:
+        positive = tol > 0
+    except TypeError:  # a str or None does not compare with a number
+        positive = None
+    if positive is None or isinstance(tol, bool):
+        raise DomainError(f"tolerance must be a number, got {tol!r}")
+    if not positive:
         raise DomainError("tolerance must be positive")
     if not math.isfinite(tol):
         # a failed trial's residual is _FAIL = inf, and inf <= inf would pass it
@@ -513,8 +529,14 @@ def run_suite(suite, seed=0, trials=100, tol=1e-8, mode="float", space=None, win
         raise DomainError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     if space is None:
         space = _default_product(mode == "rational")
+    elif suite in _FLEXIBILITY_SUITES and not isinstance(space, Product):
+        raise DomainError(f"{suite} needs a product space, got {space.describe()}")
     if window is None:
         window = DEFAULT_WINDOW
+    try:  # a window no trial can draw from is refused here, not per trial
+        _window_bounds(window)
+    except (TypeError, ValueError):
+        raise DomainError(f"sampling window must be a number or a pair, got {window!r}") from None
     return _campaign_report(
         suite, space, seed, trials, tol, mode,
         lambda: _run_trials(suite, space, window, seed, trials, tol, mode),

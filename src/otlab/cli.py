@@ -206,6 +206,9 @@ def parse_config(path):
     return entries
 
 
+# the settings that choose a campaign's space and its sampling window
+_SPACE_SETTINGS = ("space", "alpha", "q", "base", "dim", "window")
+
 # settings a subcommand would read and then drop, refused instead: for each
 # command the keys, each with the one value refused (None: any value) and why
 _UNREAD = {
@@ -221,10 +224,7 @@ _UNREAD = {
         "order": (None, "each suite sets its own transport order"),
     },
     "scenario": {
-        **dict.fromkeys(
-            ("space", "alpha", "q", "base", "dim", "window"),
-            (None, "a scenario runs on its packaged space"),
-        ),
+        **dict.fromkeys(_SPACE_SETTINGS, (None, "a scenario runs on its packaged space")),
         "order": (None, "each suite sets its own transport order"),
     },
 }
@@ -250,14 +250,19 @@ def _settings(args):
     return entries, flags
 
 
-def _refuse_unread(command, entries, flags):
+def _refuse_unread(command, entries, flags, suite=None):
     """A DomainError naming the first setting, in --help order, that ``command`` would drop.
 
     Besides the command's own ``_UNREAD`` settings, every command drops the
-    product parts beside a space or a base of the interval. A flag is named
-    as one, and so is a config entry that no flag overrides.
+    product parts beside a space or a base of the interval, and ``verify``
+    drops every space setting and the window for a ``suite`` that builds its
+    own space. A flag is named as one, and so is a config entry that no flag
+    overrides.
     """
     unread = _UNREAD[command]
+    if suite in campaign._OWN_SPACE_SUITES:
+        why = f"{suite} draws on its own space and window"
+        unread = {**unread, **dict.fromkeys(_SPACE_SETTINGS, (None, why))}
     for key, (parts, why) in _INTERVAL_DROPS.items():
         if entries.get(key) == "interval":
             unread = {**dict.fromkeys(parts, (None, why)), **unread}
@@ -473,7 +478,7 @@ def entry(argv=None):
     try:
         entries, flags = _settings(args)
         cfg = _run_config(entries)
-        _refuse_unread(args.command, entries, flags)
+        _refuse_unread(args.command, entries, flags, getattr(args, "suite", None))
         if args.command == "dist":
             return cmd_dist(cfg, args.mu_file, args.nu_file)
         if args.command == "transform":

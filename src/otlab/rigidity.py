@@ -30,14 +30,12 @@ from .measure import (
 )
 from .metric import (
     Interval,
-    IntervalPoint,
     Product,
-    ProductPoint,
     _distance_beyond_range,
     distance,
     segment_is_trivial,
 )
-from .sampling import make_rng, random_masses, random_point
+from .sampling import make_rng, random_masses, random_separated_points
 from .solver import restrict_and_renormalize, solve_wasserstein
 
 __all__ = [
@@ -421,36 +419,21 @@ def geodesic_speed_check(ext, sample_pairs, tol=DEFAULT_TOL):
 # seeded measure families
 
 
-def _distinct_unit_values(rng, count, min_gap):
-    while True:
-        vals = sorted(float(t) for t in rng.uniform(0, 1, count))
-        if all(b - a >= min_gap for a, b in zip(vals, vals[1:])):
-            return vals
-
-
 def induction_family_generator(space, n_atoms, seed):
     """Endless stream of seeded random measures with pairwise-distinct t's.
 
-    On a product space the atoms get random base points in the sampling
-    window ``sampling.DEFAULT_WINDOW``; on an interval space the atoms are
-    the t's themselves. Fiber coordinates keep a minimum gap so downstream
-    strict-inequality probes are numerically meaningful.
+    The atoms come from ``sampling.random_separated_points``: their t's lie
+    pairwise at least min(0.05, 1/(4 * n_atoms)) apart, so downstream
+    strict-inequality probes are numerically meaningful. On a product space
+    the atoms get random base points in the sampling window
+    ``sampling.DEFAULT_WINDOW``; on an interval space the atoms are the t's
+    themselves.
     """
     if n_atoms < 1:
         raise DomainError("n_atoms must be positive")
     if not isinstance(space, (Product, Interval)):
         raise DomainError("induction families live on product or interval spaces")
     rng = make_rng(seed)
-    min_gap = min(0.02, 1.0 / (4 * n_atoms))
     while True:
-        ts = _distinct_unit_values(rng, n_atoms, min_gap)
-        rng.shuffle(ts)
-        masses = random_masses(rng, n_atoms)
-        atoms = []
-        for t, m in zip(ts, masses):
-            if isinstance(space, Product):
-                point = ProductPoint(t, random_point(rng, space.base))
-            else:
-                point = IntervalPoint(t)
-            atoms.append((point, m))
-        yield DiscreteMeasure(space, tuple(atoms))
+        points = random_separated_points(rng, space, n_atoms)
+        yield DiscreteMeasure(space, tuple(zip(points, random_masses(rng, n_atoms))))

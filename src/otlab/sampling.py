@@ -89,13 +89,15 @@ def _scalar(rng, exact, window, denominator, exact_window=None):
 
 
 def _window_bounds(window):
-    """A scalar w means [-w, w]; a pair is an explicit [lo, hi]."""
+    """A scalar w means [-w, w]; a pair is an explicit [lo, hi] of finite width."""
     if isinstance(window, tuple):
         lo, hi = window
     else:
         lo, hi = -window, window
     if not lo < hi:
         raise DomainError(f"empty sampling window [{lo!r}, {hi!r}]")
+    if not hi - lo < math.inf:  # numpy draws from no wider range; ints and Fractions compare with inf exactly
+        raise DomainError(f"sampling window [{lo!r}, {hi!r}] is not of finite width")
     return lo, hi
 
 
@@ -113,9 +115,8 @@ def random_point(rng, space, exact=False, window=DEFAULT_WINDOW):
     if isinstance(space, Finite):
         return FinitePoint(int(rng.integers(0, space.size)))
     if isinstance(space, Product):
-        t = random_point(rng, Interval(1), exact=exact).t
-        x = random_point(rng, space.base, exact=exact, window=window)
-        return ProductPoint(t, x)
+        t = _scalar(rng, exact, (0, 1), _DENOMINATOR)
+        return ProductPoint(t, random_point(rng, space.base, exact=exact, window=window))
     raise DomainError(f"unsupported space {space!r}")
 
 
@@ -171,10 +172,15 @@ def random_measure(
 
 
 def random_separated_points(rng, space, count, exact=False):
-    """``count`` product points whose t coordinates lie pairwise at least 0.05 apart."""
+    """``count`` points of a product or interval space whose t coordinates lie pairwise apart.
+
+    The gap is min(0.05, 1/(4 * count)): 0.05 up to five points, and small
+    enough beyond that for the t's to fit in [0, 1] with room to spare.
+    """
+    gap = min(0.05, 1 / (4 * count))
 
     def clashes(p, kept):
-        return any(abs(float(p.t) - float(k.t)) < 0.05 for k in kept)
+        return any(abs(float(p.t) - float(k.t)) < gap for k in kept)
 
     return _draw_points(
         rng, space, count, clashes, 400 * count,

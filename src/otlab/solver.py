@@ -8,11 +8,12 @@ approximation). One tree walk, ``_hang_below``, hangs everything below a
 node; every pivot runs it from the node it re-hangs, and the set-up from row
 0 unless the start's cells attach one by one in their order, as a northwest
 staircase's do. An exact solve starts from the northwest corner
-(``_transport_simplex``); it keeps that start, so its pivots, plan and
-potentials do not move. A float solve starts from a least-cost spanning tree
-(``_least_cost_tree``); on the paper's product at m = n = 40 that halves the
-pivots. A float solve whose costs are all Python floats and whose matrix
-has more than ``_PER_CELL_MAX`` (25) cells keeps one float64 array of them
+(``_northwest_corner``) and pivots from it in ``_simplex_from``; it keeps
+that start, so its pivots, plan and potentials do not move. A float solve
+starts from a least-cost spanning tree (``_least_cost_tree``); on the
+paper's product at m = n = 40 that halves the pivots. A float solve whose
+costs are all Python floats and whose matrix has more than
+``_PER_CELL_MAX`` (25) cells keeps one float64 array of them
 beside the lists: the one ``cost_matrix`` broadcast, else ``np.array`` of the
 list. The start orders its cells with a stable argsort of it and the
 certificate scans dual feasibility on it; both make the loops' comparisons
