@@ -18,7 +18,9 @@ terms are, so exact values are compared exactly, even next to floats.
 One rule decides how a total is summed: :func:`plain_sum` adds its terms one
 at a time, left to right from 0, and ``itertools.accumulate`` does the same
 where the running values are kept. So a float total has the same bits on
-every Python version.
+every Python version. The fold also owns the edge of the float range: a sum
+in which an exact term too large for a float meets a float is ``inf``, the
+value float overflow gives, so no caller catches ``OverflowError`` around it.
 
 One rule decides how an exact ratio of two ints is made: :func:`ratio`, a
 bounded cache in front of ``Fraction(n, d)``. Masses sit on a few grids
@@ -203,10 +205,18 @@ def plain_sum(values):
     sum a plan's two marginals differently, and part from the float cost
     matrix, which adds a ``Euclidean`` distance's squares one dimension after
     another. An exact total is the same either way.
+
+    A sum beyond the float range is ``inf``, sign not kept: an
+    ``OverflowError`` met in the loop, or raised by a generator feeding it
+    (a float meeting an exact value too large for a float), ends the fold
+    there. An all-exact total never overflows and stays exact.
     """
     total = 0
-    for v in values:
-        total = total + v
+    try:
+        for v in values:
+            total = total + v
+    except OverflowError:
+        return math.inf
     return total
 
 

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass
 
 from ._numbers import format_number, ratio
-from .errors import DomainError, FiberCollisionError, InvariantError, SolverStallError
+from .errors import CouplingError, DomainError, FiberCollisionError, InvariantError, SolverStallError, SpaceMismatchError
 from .measure import DiscreteMeasure, convex_combine
 from .metric import (
     Euclidean,
@@ -319,7 +319,7 @@ def _suite_coupling_lift_cost(rng, ctx):
     residual = float(abs(coupling_cost(lifted, q) - coupling_cost(pi, q)))
     try:
         validate_coupling(lifted, fiber_flip(mu), fiber_flip(nu), tol=max(ctx["tol"], 1e-12))
-    except Exception:
+    except (CouplingError, SpaceMismatchError):
         return _FAIL, "lifted plan does not couple the flipped marginals"
     return residual, ""
 
@@ -569,7 +569,7 @@ def run_scenario(name, seed=0, trials=50, tol=1e-8, mode="float"):
 
 
 def _fmt_float(x):
-    return format_number(x) if not isinstance(x, float) else repr(x)
+    return repr(float(x)) if isinstance(x, float) else format_number(x)
 
 
 def render_report(report):

@@ -486,10 +486,7 @@ class Euclidean(_CostMatrix):
                 raise SpaceMismatchError(f"coordinate {c!r} is not finite")
 
     def _sq(self, a, b):
-        try:
-            return plain_sum(d * d for d in map(operator.sub, a.coords, b.coords))
-        except OverflowError:  # a float met an exact value beyond the float range
-            return math.inf
+        return plain_sum(d * d for d in map(operator.sub, a.coords, b.coords))
 
     def distance(self, a, b):
         if self.dim == 1:
@@ -779,10 +776,7 @@ def triangle_defect(space, a, b, c):
     space.validate_point(a)
     space.validate_point(b)
     space.validate_point(c)
-    try:
-        defect = space.distance(a, b) + space.distance(b, c) - space.distance(a, c)
-    except OverflowError:  # an exact distance beyond the float range met a float one
-        defect = math.inf
+    defect = plain_sum((space.distance(a, b), space.distance(b, c), -space.distance(a, c)))
     if not -math.inf < defect < math.inf:  # inf, -inf, or NaN from inf - inf
         raise _distance_beyond_range()
     zero = defect - defect

@@ -110,13 +110,18 @@ def ratio_set_membership(xi, mu, nu, lam, tol=DEFAULT_TOL, base_distance=None):
     Returns ``(is_member, (r1, r2))`` where r1 = d(mu, xi) - lambda * d(mu, nu)
     and r2 = d(xi, nu) - (1 - lambda) * d(mu, nu). xi is a member when both
     are 0: exactly for an exact residual, within ``tol`` for a float one.
+    A residual that meets an exact distance beyond the float range with a
+    float is a :class:`DomainError`.
     """
     if not (0 < lam < 1):
         raise DomainError(f"lambda {lam!r} must lie strictly between 0 and 1")
     if base_distance is None:
         base_distance = solve_wasserstein(mu, nu, p=1).cost
-    r1 = solve_wasserstein(mu, xi, p=1).cost - lam * base_distance
-    r2 = solve_wasserstein(xi, nu, p=1).cost - (1 - lam) * base_distance
+    try:
+        r1 = solve_wasserstein(mu, xi, p=1).cost - lam * base_distance
+        r2 = solve_wasserstein(xi, nu, p=1).cost - (1 - lam) * base_distance
+    except OverflowError:  # a float lambda or distance met an exact distance beyond the float range
+        raise _distance_beyond_range() from None
     return (abs(r1) <= tolerance(r1, tol) and abs(r2) <= tolerance(r2, tol)), (r1, r2)
 
 
@@ -336,10 +341,7 @@ def _dirac_distance(space, y, eta):
     if eta.space != space:  # eta's atoms were validated on eta.space only
         for p in eta.support:
             space.validate_point(p)
-    try:
-        return plain_sum(m * space.distance(y, p) for p, m in eta.atoms)
-    except OverflowError:  # an exact distance beyond the float range met a float one
-        return math.inf
+    return plain_sum(m * space.distance(y, p) for p, m in eta.atoms)
 
 
 def build_geodesic_extension(space, eta, y, y_prime, c):

@@ -208,10 +208,7 @@ def coupling_cost(pi, p=1):
     _check_plan_points(pi, p)
     cost = pi.space.powered_distance
     rows, cols = pi.row_points, pi.col_points
-    try:
-        total = plain_sum(w * cost(rows[j], cols[k], p) for j, k, w in pi.cells())
-    except OverflowError:  # an exact cost beyond the float range met a float one
-        total = math.inf
+    total = plain_sum(w * cost(rows[j], cols[k], p) for j, k, w in pi.cells())
     if total == math.inf:
         raise _cost_beyond_range(p)
     return total
@@ -779,7 +776,9 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
     and block search; 576 or more, the array throughout. Exact solves take
     the loops and block search. ``tol`` must be a finite number >= 0 and
     ``pivot_budget`` None or an integer >= 0; anything else is a
-    :class:`DomainError`.
+    :class:`DomainError`. So is a float solve whose flows meet an exact cost
+    or potential beyond the float range, where they are costed (a stall
+    included) or certified.
     The pivot budget defaults to 10 * m * n; exhausting it raises
     :class:`SolverStallError` rather than returning an approximation. The
     result's ``arithmetic`` says which arithmetic the solve ran in. Where
@@ -818,9 +817,13 @@ def solve_wasserstein(mu, nu, p=1, tol=DEFAULT_TOL, pivot_budget=None):
         scale = L * Lc
     budget = 10 * m * n if pivot_budget is None else pivot_budget
     start = _northwest_corner(a, b, m, n) if scale is not None else _least_cost_tree(a, b, cost, m, n, array)
-    flows, pivots, u, v, adj = _simplex_from(start, cost, m, n, scale, budget, array)
-    powered = _flow_cost(flows, cost)
-    certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol), array)
+    try:
+        # the kernel costs its flows only to report a stall
+        flows, pivots, u, v, adj = _simplex_from(start, cost, m, n, scale, budget, array)
+        powered = _flow_cost(flows, cost)
+        certified = _certify(a, b, cost, flows, u, v, m, n, powered, tolerance(powered, tol), array)
+    except OverflowError:  # float flows met an exact cost or potential beyond the float range
+        raise _cost_beyond_range(p) from None
     # the nonzero cells, row-major: integer flows become Fractions, float ones stay as they are
     weights = [0] * (m * n)
     for (i, j), f in flows.items():
